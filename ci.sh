@@ -164,7 +164,8 @@ cargo bench --workspace --no-run
 echo "==> bench gate (mm_bench --compare against the committed baseline)"
 # Wall-clock floors are only comparable across release builds, so this
 # stage always builds mm_bench in release regardless of the CI profile.
-# The compare gates: fault path +10%, pcache hit +15%, fault p99 +20%,
+# The compare gates: fault path +10% (narrow, wide and the sketch's
+# eviction path alone), pcache hit +15%, fault p99 +20%,
 # queue-delay p99 +20%, ann PQ search p99 +20%, ann PQ bytes-faulted per
 # query +20%, telemetry overhead <= 2% absolute (re-measured with the
 # contention profiler compiled in and enabled), weak-scaling efficiency

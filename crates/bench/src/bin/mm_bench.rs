@@ -14,7 +14,10 @@
 //! 4/16/64/256 nodes plus the chaos-recovery virtual cost, all
 //! deterministic virtual-time numbers); v4 adds the `ann_path` section
 //! (IVF search recall, virtual-time search percentiles, bytes faulted per
-//! query on the flat and PQ paths, and the PQ compression ratio).
+//! query on the flat and PQ paths, and the PQ compression ratio). Two
+//! floors joined v4 additively: `fault_path.fault_from_scache_wide_ns_per_iter`
+//! (the scache fault over a working set 16x the hot-page sketch) and
+//! `telemetry.sketch_record_thrash_ns` (the sketch's eviction path alone).
 //!
 //! `mm_bench --compare <old.json> <new.json>` diffs two snapshots: it
 //! prints a per-metric delta table and exits non-zero when any gated
@@ -31,6 +34,7 @@ use megammap::prelude::*;
 use megammap_bench::scale;
 use megammap_cluster::{Cluster, ClusterSpec};
 use megammap_sim::DeviceSpec;
+use megammap_telemetry::{HeavyHitters, DEFAULT_HOT_PAGE_CAPACITY};
 
 /// Mirror of the fault-latency histogram bounds in `megammap::vector`.
 const FAULT_BOUNDS: [u64; 15] = [
@@ -99,10 +103,27 @@ fn pcache_hit_ns() -> f64 {
     ns
 }
 
+/// Pages of the narrow fault-path scenario: fits the hot-page sketch
+/// ([`DEFAULT_HOT_PAGE_CAPACITY`]), so every touch is a tracked hit.
+const NARROW_PAGES: u64 = 64;
+/// Pages of the wide scenario and key universe of the sketch thrash
+/// floor: 16x the sketch capacity, so ~94% of touches evict.
+const WIDE_PAGES: u64 = 8192;
+
+/// Seeded uniform draws from `0..n`: the access order of a `TxKind::rand`.
+fn uniform_below(seed: u64, n: u64) -> impl FnMut() -> u64 {
+    let order = TxKind::rand(seed, 0, n);
+    let mut k = 0u64;
+    move || {
+        k += 1;
+        order.access_index(k)
+    }
+}
+
 /// Wall-clock ns/iter of a fault served by the local scache shard (a
-/// one-page pcache makes every page switch a synchronous fault).
-fn fault_from_scache_ns() -> f64 {
-    const PAGES: u64 = 64;
+/// one-page pcache makes every page switch a synchronous fault), over a
+/// `pages`-page vector visited in the order `next_page` yields.
+fn fault_from_scache_ns(pages: u64, mut next_page: impl FnMut() -> u64 + Send) -> f64 {
     const PAGE: u64 = 16 * 1024;
     const ITERS: u64 = 20_000;
     // Each batch is ~10ms; host steal-time episodes on a single-core VM
@@ -116,7 +137,7 @@ fn fault_from_scache_ns() -> f64 {
             &rt,
             p,
             "mem://bench/fault",
-            VecOptions::new().len(PAGES * PAGE / 8).pcache(PAGE).no_prefetch(),
+            VecOptions::new().len(pages * PAGE / 8).pcache(PAGE).no_prefetch(),
         )
         .unwrap();
         let tx = v.tx(p, TxKind::seq(0, v.len()), Access::WriteGlobal).unwrap();
@@ -127,13 +148,11 @@ fn fault_from_scache_ns() -> f64 {
         let elems_per_page = PAGE / 8;
         let tx = v.tx(p, TxKind::rand(1, 0, v.len()), Access::ReadWriteGlobal).unwrap();
         let mut batches = Vec::with_capacity(BATCHES);
-        let mut page = 0u64;
         for _ in 0..BATCHES {
             let t = Instant::now();
             let mut acc = 0u64;
             for _ in 0..ITERS {
-                page = (page + 1) % PAGES;
-                acc = acc.wrapping_add(v.load(p, tx.handle(), page * elems_per_page));
+                acc = acc.wrapping_add(v.load(p, tx.handle(), next_page() * elems_per_page));
             }
             std::hint::black_box(acc);
             batches.push(t.elapsed().as_nanos() as f64 / ITERS as f64);
@@ -142,6 +161,25 @@ fn fault_from_scache_ns() -> f64 {
         floor(&batches)
     });
     ns
+}
+
+/// Wall-clock ns per `HeavyHitters::record` when the key population is
+/// 16x the sketch capacity — the eviction path, isolated from the runtime.
+fn sketch_record_thrash_ns() -> f64 {
+    const ITERS: u64 = 200_000;
+    const BATCHES: usize = 21;
+    let sketch = HeavyHitters::detached(DEFAULT_HOT_PAGE_CAPACITY);
+    let mut next_key = uniform_below(11, WIDE_PAGES);
+    let mut batches = Vec::with_capacity(BATCHES);
+    for _ in 0..BATCHES {
+        let t = Instant::now();
+        for _ in 0..ITERS {
+            sketch.record(1, next_key(), 1);
+        }
+        batches.push(t.elapsed().as_nanos() as f64 / ITERS as f64);
+    }
+    std::hint::black_box(sketch.evictions());
+    floor(&batches)
 }
 
 /// Telemetry overhead on the warmed load-scan fast path, in percent
@@ -409,9 +447,12 @@ fn flat_numbers(src: &str) -> BTreeMap<String, f64> {
 }
 
 /// Gated metrics: `(key, max relative growth)` — the new value may exceed
-/// the old by at most this fraction before `--compare` fails.
-const RATIO_GATES: [(&str, f64); 6] = [
+/// the old by at most this fraction before `--compare` fails. A key an
+/// older baseline lacks is skipped.
+const RATIO_GATES: [(&str, f64); 8] = [
     ("fault_path.fault_from_scache_ns_per_iter", 0.10),
+    ("fault_path.fault_from_scache_wide_ns_per_iter", 0.10),
+    ("telemetry.sketch_record_thrash_ns", 0.10),
     ("fault_path.pcache_hit_ns_per_iter", 0.15),
     ("fault_latency.p99_ns", 0.20),
     ("shard_path.shard_queue_delay_p99_ns", 0.20),
@@ -623,7 +664,13 @@ fn main() {
 
     eprintln!("mm_bench: measuring fault path ...");
     let hit_ns = pcache_hit_ns();
-    let fault_ns = fault_from_scache_ns();
+    let mut narrow_page = 0u64;
+    let fault_ns = fault_from_scache_ns(NARROW_PAGES, || {
+        narrow_page = (narrow_page + 1) % NARROW_PAGES;
+        narrow_page
+    });
+    let wide_ns = fault_from_scache_ns(WIDE_PAGES, uniform_below(5, WIDE_PAGES));
+    let thrash_ns = sketch_record_thrash_ns();
     eprintln!("mm_bench: measuring telemetry overhead ...");
     let overhead_pct = telemetry_overhead_pct();
     eprintln!("mm_bench: measuring fault-latency percentiles ...");
@@ -635,7 +682,7 @@ fn main() {
     let scale_json = scale_path_json();
 
     let json = format!(
-        "{{\n  \"schema\": \"mm-bench/v4\",\n  \"generated_unix\": {now_unix},\n  \"date\": \"{y:04}-{m:02}-{d:02}\",\n  \"fault_path\": {{\n    \"pcache_hit_ns_per_iter\": {hit_ns:.1},\n    \"fault_from_scache_ns_per_iter\": {fault_ns:.1}\n  }},\n  \"telemetry\": {{\n    \"overhead_pct\": {overhead_pct:.2},\n    \"budget_pct\": 2.0\n  }},\n  \"fault_latency\": {{\n    \"tenant\": \"bench\",\n    \"faults\": {faults},\n    \"p50_ns\": {p50},\n    \"p99_ns\": {p99},\n    \"p999_ns\": {p999}\n  }},\n  \"shard_path\": {{\n    \"shard_queue_delay_p99_ns\": {queue_p99},\n    \"owner_fast_hit_rate\": {hit_rate:.4},\n    \"owner_fast_hits\": {hits},\n    \"owner_fast_misses\": {misses},\n    \"batched_crossings\": {crossings}\n  }},\n{ann_json},\n{scale_json}\n}}\n"
+        "{{\n  \"schema\": \"mm-bench/v4\",\n  \"generated_unix\": {now_unix},\n  \"date\": \"{y:04}-{m:02}-{d:02}\",\n  \"fault_path\": {{\n    \"pcache_hit_ns_per_iter\": {hit_ns:.1},\n    \"fault_from_scache_ns_per_iter\": {fault_ns:.1},\n    \"fault_from_scache_wide_ns_per_iter\": {wide_ns:.1}\n  }},\n  \"telemetry\": {{\n    \"overhead_pct\": {overhead_pct:.2},\n    \"budget_pct\": 2.0,\n    \"sketch_record_thrash_ns\": {thrash_ns:.1}\n  }},\n  \"fault_latency\": {{\n    \"tenant\": \"bench\",\n    \"faults\": {faults},\n    \"p50_ns\": {p50},\n    \"p99_ns\": {p99},\n    \"p999_ns\": {p999}\n  }},\n  \"shard_path\": {{\n    \"shard_queue_delay_p99_ns\": {queue_p99},\n    \"owner_fast_hit_rate\": {hit_rate:.4},\n    \"owner_fast_hits\": {hits},\n    \"owner_fast_misses\": {misses},\n    \"batched_crossings\": {crossings}\n  }},\n{ann_json},\n{scale_json}\n}}\n"
     );
 
     let path = std::env::var("MM_BENCH_OUT")
@@ -643,7 +690,9 @@ fn main() {
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("wrote {path}");
     println!("  pcache hit        {hit_ns:.1} ns/iter");
-    println!("  fault from scache {fault_ns:.1} ns/iter");
+    println!("  fault from scache {fault_ns:.1} ns/iter ({NARROW_PAGES} pages)");
+    println!("  fault from scache {wide_ns:.1} ns/iter ({WIDE_PAGES} pages, random order)");
+    println!("  sketch record     {thrash_ns:.1} ns (thrashing, {WIDE_PAGES} keys)");
     println!("  telemetry overhead {overhead_pct:+.2}% (budget 2%)");
     println!("  fault latency p50 {p50} p99 {p99} p999 {p999} ns over {faults} faults");
     println!(

@@ -113,9 +113,9 @@ impl<T: Send, R: Send + Sync> Rendezvous<T, R> {
 /// are impossible in practice (64-bit weights) but break toward the lower
 /// candidate id for full determinism. Returns `None` iff `candidates` is
 /// empty.
-pub fn rendezvous_hash(key: u64, candidates: &[usize]) -> Option<usize> {
+pub fn rendezvous_hash(key: u64, candidates: impl IntoIterator<Item = usize>) -> Option<usize> {
     let mut best: Option<(u64, usize)> = None;
-    for &c in candidates {
+    for c in candidates {
         let w = megammap_sim::fault::mix64(key ^ (c as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
         let better = match best {
             None => true,
@@ -146,8 +146,8 @@ mod proptests {
             let all: Vec<usize> = (0..nodes).collect();
             let survivors: Vec<usize> = all.iter().copied().filter(|&n| n != crashed).collect();
             for key in keys {
-                let before = rendezvous_hash(key, &all).expect("nonempty");
-                let after = rendezvous_hash(key, &survivors).expect("nonempty");
+                let before = rendezvous_hash(key, all.iter().copied()).expect("nonempty");
+                let after = rendezvous_hash(key, survivors.iter().copied()).expect("nonempty");
                 if before == crashed {
                     prop_assert!(after != crashed, "key must leave the crashed node");
                 } else {
@@ -162,7 +162,7 @@ mod proptests {
         fn order_independent(key in any::<u64>(), nodes in 1usize..9) {
             let fwd: Vec<usize> = (0..nodes).collect();
             let rev: Vec<usize> = (0..nodes).rev().collect();
-            prop_assert_eq!(rendezvous_hash(key, &fwd), rendezvous_hash(key, &rev));
+            prop_assert_eq!(rendezvous_hash(key, fwd.iter().copied()), rendezvous_hash(key, rev.iter().copied()));
         }
 
         /// Keys spread across candidates (no degenerate constant mapping).
@@ -172,7 +172,7 @@ mod proptests {
             let mut counts = [0usize; 4];
             for i in 0..256u64 {
                 let k = seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                counts[rendezvous_hash(k, &all).unwrap()] += 1;
+                counts[rendezvous_hash(k, all.iter().copied()).unwrap()] += 1;
             }
             for (n, &c) in counts.iter().enumerate() {
                 prop_assert!(c > 16, "node {} starved: {:?}", n, counts);
@@ -182,7 +182,7 @@ mod proptests {
 
     #[test]
     fn empty_candidates_is_none() {
-        assert_eq!(rendezvous_hash(42, &[]), None);
+        assert_eq!(rendezvous_hash(42, []), None);
     }
 }
 

@@ -14,6 +14,8 @@
 //! * any of the above can be **Collective**, turning page distribution into
 //!   a tree like MPICH allgather.
 
+use std::sync::atomic::{AtomicU8, Ordering};
+
 /// Declared access intent for a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Access {
@@ -94,6 +96,14 @@ impl Policy {
         self as usize
     }
 
+    /// Inverse of [`Policy::index`].
+    ///
+    /// # Panics
+    /// If `index >= Policy::COUNT`.
+    pub fn from_index(index: usize) -> Policy {
+        Policy::ALL[index]
+    }
+
     /// The phase implied by an access intent.
     pub fn from_access(a: Access) -> Policy {
         match a {
@@ -125,6 +135,28 @@ impl Policy {
             Policy::WriteGlobal => "WriteGlobal",
             Policy::ReadWriteGlobal => "ReadWriteGlobal",
         }
+    }
+}
+
+/// A vector's shared, lock-free [`Policy`] slot.
+///
+/// The phase is one `Copy` discriminant read on every fault and commit and
+/// stored once per transaction begin; no reader ever needs it consistent
+/// with anything but itself, so it is an atomic cell, not a lock.
+#[derive(Debug, Default)]
+pub struct PolicyCell(AtomicU8);
+
+impl PolicyCell {
+    /// The current phase.
+    pub fn get(&self) -> Policy {
+        // Acquire pairs with the Release in `set`: a reader that sees a new
+        // phase also sees the replica invalidation that preceded its store.
+        Policy::from_index(self.0.load(Ordering::Acquire) as usize)
+    }
+
+    /// Enter `policy`.
+    pub fn set(&self, policy: Policy) {
+        self.0.store(policy.index() as u8, Ordering::Release);
     }
 }
 

@@ -44,7 +44,7 @@ fn loom_commit_patch_vs_flush_writeback_keeps_the_patch() {
         let rt = Runtime::new(&cluster, RuntimeConfig::default().with_page_size(4096));
         let m =
             rt.open_or_create_vector("obj://loom/flush.bin", 1, Some(4096), Some(4096)).unwrap();
-        *m.policy.lock() = Policy::WriteGlobal;
+        m.policy.set(Policy::WriteGlobal);
         let ps = m.page_size as usize;
         rt.write_page_diff(0, &m, 0, &vec![0x11u8; ps], &all_dirty(ps), 0).unwrap();
 
@@ -85,7 +85,7 @@ fn loom_commit_patch_vs_emergency_drain_keeps_the_patch() {
         let cluster = Cluster::new(ClusterSpec::new(1, 1));
         let rt = Runtime::new(&cluster, RuntimeConfig::memory_only(4 * 4096).with_page_size(4096));
         let m = rt.open_or_create_vector("obj://loom/drain.bin", 1, None, Some(6 * 4096)).unwrap();
-        *m.policy.lock() = Policy::WriteGlobal;
+        m.policy.set(Policy::WriteGlobal);
         let ps = m.page_size as usize;
         for page in 0..3u64 {
             rt.write_page_diff(0, &m, page, &vec![0x10 + page as u8; ps], &all_dirty(ps), 0)
@@ -158,7 +158,7 @@ fn loom_ownership_transfer_vs_batched_fault_sees_untorn_pages() {
         let cluster = Cluster::new(ClusterSpec::new(2, 1));
         let rt = Runtime::new(&cluster, RuntimeConfig::default().with_page_size(4096));
         let m = rt.open_or_create_vector("mem://loom-xfer", 1, None, Some(2 * 4096)).unwrap();
-        *m.policy.lock() = Policy::Local;
+        m.policy.set(Policy::Local);
         let ps = m.page_size as usize;
         // Node 0 writes both pages: home and owner are node 0.
         for page in 0..2u64 {

@@ -53,7 +53,7 @@ use parking_lot::Mutex;
 
 use crate::config::RuntimeConfig;
 use crate::error::{MmError, Result};
-use crate::policy::Policy;
+use crate::policy::{Policy, PolicyCell};
 use crate::rangeset::RangeSet;
 use crate::tenant::TenantLedger;
 use crate::tx::splitmix64;
@@ -84,7 +84,7 @@ pub struct VectorMeta {
     /// Current length in elements.
     pub len: AtomicU64,
     /// Current coherence phase.
-    pub policy: Mutex<Policy>,
+    pub policy: PolicyCell,
     /// Persistent backend, if nonvolatile.
     pub backend: Option<Arc<dyn DataObject>>,
     /// Whether the vector persists past destruction of the runtime.
@@ -523,7 +523,7 @@ impl Runtime {
             elem_size,
             page_size,
             len: AtomicU64::new(len),
-            policy: Mutex::new(Policy::Unknown),
+            policy: PolicyCell::default(),
             backend,
             nonvolatile,
             last_stage: AtomicU64::new(0),
@@ -667,14 +667,13 @@ impl Runtime {
         let nnodes = self.inner.nodes.len();
         if let Some(plan) = self.inner.cfg.fault_plan() {
             if !plan.crashes().is_empty() {
-                let live: Vec<usize> = (0..nnodes).filter(|&n| !plan.node_down(n, now)).collect();
-                if !live.is_empty() {
-                    return rendezvous_hash(key, &live).unwrap_or(0);
+                let live = (0..nnodes).filter(|&n| !plan.node_down(n, now));
+                if let Some(home) = rendezvous_hash(key, live) {
+                    return home;
                 }
             }
         }
-        let all: Vec<usize> = (0..nnodes).collect();
-        rendezvous_hash(key, &all).unwrap_or(0)
+        rendezvous_hash(key, 0..nnodes).unwrap_or(0)
     }
 
     /// Observe the fault plan at virtual time `now`: evacuate retired
@@ -772,7 +771,7 @@ impl Runtime {
         // what is skipped is the task construction + dispatch machinery.
         let (data, done) = self.inner.nodes[my_node].dmsh.get(now, id).ok()?;
         let s = &self.inner.stats;
-        let policy_ix = meta.policy.lock().index();
+        let policy_ix = meta.policy.get().index();
         s.faults.inc();
         s.faults_by_policy[policy_ix].inc();
         s.local_reads.inc();
@@ -841,7 +840,7 @@ impl Runtime {
             s.prefetches.inc();
         } else {
             s.faults.inc();
-            s.faults_by_policy[meta.policy.lock().index()].inc();
+            s.faults_by_policy[meta.policy.get().index()].inc();
             // Reaching here means the ownership fast path did not apply
             // (or was not attempted, e.g. a coalesced run): this fault
             // pays a runtime crossing.
@@ -930,7 +929,7 @@ impl Runtime {
         // Replicate locally under the Read-Only Global policy so future
         // reads are node-local. The replica shares the same storage as the
         // caller's view (an O(1) refcount bump, not a copy).
-        if meta.policy.lock().replicates()
+        if meta.policy.get().replicates()
             && self.inner.nodes[my_node]
                 .dmsh
                 .put(done, id, data.clone(), 0.8, my_node, false)
@@ -998,7 +997,7 @@ impl Runtime {
             s.prefetches.add(count);
         } else {
             s.faults.inc();
-            s.faults_by_policy[meta.policy.lock().index()].inc();
+            s.faults_by_policy[meta.policy.get().index()].inc();
             // A coalesced run is dispatched, not owner-served: its
             // synchronous first fault counts as a fast-path miss.
             s.owner_misses.inc();
@@ -1100,7 +1099,7 @@ impl Runtime {
         } else {
             ctx
         };
-        let replicate = meta.policy.lock().replicates();
+        let replicate = meta.policy.get().replicates();
         let mut out = Vec::with_capacity(n as usize);
         let mut dev = ws;
         for k in 0..n {
@@ -1221,7 +1220,7 @@ impl Runtime {
         self.poll_chaos(submit);
         self.inner.stats.writes.inc();
         let id = BlobId::new(meta.id, page);
-        let policy = *meta.policy.lock();
+        let policy = meta.policy.get();
         self.inner.stats.writes_by_policy[policy.index()].inc();
         let preferred = if policy == Policy::Local {
             my_node
@@ -1344,7 +1343,7 @@ impl Runtime {
         self.poll_chaos(submit);
         self.inner.stats.writes.inc();
         let id = BlobId::new(meta.id, page);
-        let policy = *meta.policy.lock();
+        let policy = meta.policy.get();
         self.inner.stats.writes_by_policy[policy.index()].inc();
         let preferred = if policy == Policy::Local {
             my_node
@@ -1690,7 +1689,7 @@ mod tests {
     fn write_then_read_round_trips() {
         let (_c, rt) = runtime(2);
         let m = rt.open_or_create_vector("mem://rw", 1, None, Some(4096)).unwrap();
-        *m.policy.lock() = Policy::Local;
+        m.policy.set(Policy::Local);
         let mut data = vec![0u8; m.page_size as usize];
         data[100..200].copy_from_slice(&[7u8; 100]);
         let mut dirty = RangeSet::new();
@@ -1709,7 +1708,7 @@ mod tests {
         // must contain both (the Read/Write Local guarantee).
         let (_c, rt) = runtime(2);
         let m = rt.open_or_create_vector("mem://halves", 1, None, Some(4096)).unwrap();
-        *m.policy.lock() = Policy::Local;
+        m.policy.set(Policy::Local);
         let ps = m.page_size as usize;
         let mut d0 = vec![0u8; ps];
         d0[..ps / 2].fill(0xAA);
@@ -1739,7 +1738,7 @@ mod tests {
     fn remote_read_costs_more_than_local() {
         let (_c, rt) = runtime(2);
         let m = rt.open_or_create_vector("mem://remote", 1, None, Some(8192)).unwrap();
-        *m.policy.lock() = Policy::Local;
+        m.policy.set(Policy::Local);
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
@@ -1757,12 +1756,12 @@ mod tests {
     fn read_only_policy_replicates_then_invalidates() {
         let (_c, rt) = runtime(2);
         let m = rt.open_or_create_vector("mem://ro", 1, None, Some(8192)).unwrap();
-        *m.policy.lock() = Policy::Local;
+        m.policy.set(Policy::Local);
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
         let t = rt.write_page_diff(0, &m, 0, &vec![5u8; ps], &dirty, 0).unwrap();
-        *m.policy.lock() = Policy::ReadOnlyGlobal;
+        m.policy.set(Policy::ReadOnlyGlobal);
         // First remote read replicates onto node 1.
         rt.read_page(t, &m, 0, 1, None, false).unwrap();
         let id = BlobId::new(m.id, 0);
@@ -1781,7 +1780,7 @@ mod tests {
     fn collective_read_charges_tree_not_unicast() {
         let (_c, rt) = runtime(4);
         let m = rt.open_or_create_vector("mem://coll", 1, None, Some(8192)).unwrap();
-        *m.policy.lock() = Policy::Local;
+        m.policy.set(Policy::Local);
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
@@ -1798,7 +1797,7 @@ mod tests {
     fn small_tasks_use_low_latency_pool() {
         let (_c, rt) = runtime(1);
         let m = rt.open_or_create_vector("mem://pools", 1, Some(65536), Some(2 * 65536)).unwrap();
-        *m.policy.lock() = Policy::Local;
+        m.policy.set(Policy::Local);
         // A small diff (< 16 KiB) routes low; a big one routes high. Two
         // distinct pages: each page's *first* write is an ownership
         // establishment, which always dispatches (a repeat write to the
@@ -1819,7 +1818,7 @@ mod tests {
     fn repeat_writer_takes_ownership_fast_path() {
         let (_c, rt) = runtime(1);
         let m = rt.open_or_create_vector("mem://own", 1, None, Some(4096)).unwrap();
-        *m.policy.lock() = Policy::Local;
+        m.policy.set(Policy::Local);
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
@@ -1847,7 +1846,7 @@ mod tests {
     fn ownership_transfer_falls_back_to_slow_path() {
         let (_c, rt) = runtime(2);
         let m = rt.open_or_create_vector("mem://xfer", 1, None, Some(4096)).unwrap();
-        *m.policy.lock() = Policy::Local;
+        m.policy.set(Policy::Local);
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
@@ -1869,7 +1868,7 @@ mod tests {
     fn coalesced_run_counts_one_batched_crossing() {
         let (_c, rt) = runtime(1);
         let m = rt.open_or_create_vector("mem://batch", 1, None, Some(8 * 4096)).unwrap();
-        *m.policy.lock() = Policy::Local;
+        m.policy.set(Policy::Local);
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
@@ -1916,7 +1915,7 @@ mod tests {
     fn flush_persists_dirty_pages_to_backend() {
         let (_c, rt) = runtime(1);
         let m = rt.open_or_create_vector("obj://bkt/out.bin", 1, Some(4096), Some(6000)).unwrap();
-        *m.policy.lock() = Policy::WriteGlobal;
+        m.policy.set(Policy::WriteGlobal);
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
@@ -1944,7 +1943,7 @@ mod tests {
         let cfg = RuntimeConfig::memory_only(64 * 1024).with_page_size(4096);
         let rt = Runtime::new(&cluster, cfg);
         let m = rt.open_or_create_vector("obj://bkt/big.bin", 1, None, Some(32 * 4096)).unwrap();
-        *m.policy.lock() = Policy::WriteGlobal;
+        m.policy.set(Policy::WriteGlobal);
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
@@ -1965,7 +1964,7 @@ mod tests {
     fn destroy_clears_everything() {
         let (_c, rt) = runtime(2);
         let m = rt.open_or_create_vector("mem://gone", 1, None, Some(4096)).unwrap();
-        *m.policy.lock() = Policy::Local;
+        m.policy.set(Policy::Local);
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
@@ -1982,7 +1981,7 @@ mod tests {
         let nv = rt.open_or_create_vector("obj://b/nv.bin", 1, Some(4096), Some(4096)).unwrap();
         let vol = rt.open_or_create_vector("mem://tmp", 1, Some(4096), Some(4096)).unwrap();
         for m in [&nv, &vol] {
-            *m.policy.lock() = Policy::WriteGlobal;
+            m.policy.set(Policy::WriteGlobal);
             let ps = m.page_size as usize;
             let mut dirty = RangeSet::new();
             dirty.insert(0, ps as u64);
@@ -2011,7 +2010,7 @@ mod tests {
     fn tier_bandwidth_reflects_residency() {
         let (_c, rt) = runtime(1);
         let m = rt.open_or_create_vector("mem://bw", 1, None, Some(4 * MIB)).unwrap();
-        *m.policy.lock() = Policy::Local;
+        m.policy.set(Policy::Local);
         // Unmapped page: PFS bandwidth.
         assert_eq!(rt.tier_bandwidth_of(&m, 0, 0), rt.cfg().pfs_bandwidth);
         let ps = m.page_size as usize;

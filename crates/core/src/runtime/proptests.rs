@@ -29,7 +29,7 @@ fn prepared(seed: u64, written: &[bool]) -> (Cluster, Runtime, Arc<VectorMeta>) 
     let m = rt
         .open_or_create_vector("mem://prop-run", 1, None, Some(written.len() as u64 * 4096))
         .unwrap();
-    *m.policy.lock() = Policy::Local;
+    m.policy.set(Policy::Local);
     let ps = m.page_size as usize;
     let mut dirty = RangeSet::new();
     dirty.insert(0, ps as u64);

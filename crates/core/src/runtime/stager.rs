@@ -154,16 +154,9 @@ pub(crate) fn stage_out_all(rt: &Runtime, now: SimTime, meta: &VectorMeta) -> Re
     let mut done = now;
     let mut ctx = TraceCtx::NONE;
     let mut flushed = 0u64;
-    // Read the policy index before entering any apply-locked section (see
-    // `stage_out_page`); a concurrent policy flip mid-flush only skews the
-    // per-policy stats attribution, never the data path.
-    let policy_ix = meta.policy.lock().index();
     for node in 0..rt.nodes() {
         let dmsh = &rt.inner_node(node).dmsh;
-        for id in dmsh.dirty_blobs() {
-            if id.bucket != meta.id {
-                continue;
-            }
+        for id in dmsh.dirty_blobs_of(meta.id) {
             if ctx.is_none() {
                 // Lazily allocate the Flush root so idle stager passes
                 // (nothing dirty) leave no trace behind.
@@ -184,7 +177,6 @@ pub(crate) fn stage_out_all(rt: &Runtime, now: SimTime, meta: &VectorMeta) -> Re
                     id.blob,
                     &data,
                     node,
-                    policy_ix,
                     ctx,
                 )?;
                 dmsh.mark_clean(id);
@@ -196,8 +188,8 @@ pub(crate) fn stage_out_all(rt: &Runtime, now: SimTime, meta: &VectorMeta) -> Re
     }
     rt.telemetry().span(EventKind::Flush, now, done, 0, 0, meta.id);
     if !ctx.is_none() {
-        let policy = *meta.policy.lock();
-        rt.telemetry().trace_end(ctx, Stage::Flush, now, done, 0, flushed, policy.name(), meta.id);
+        let policy = meta.policy.get().name();
+        rt.telemetry().trace_end(ctx, Stage::Flush, now, done, 0, flushed, policy, meta.id);
     }
     // Trim the backend to the vector's logical length (appends may have
     // grown it page-granularly) and persist format metadata.
@@ -211,8 +203,8 @@ pub(crate) fn stage_out_all(rt: &Runtime, now: SimTime, meta: &VectorMeta) -> Re
     // while we were flushing — those newer intents must survive until the
     // next flush lands them.
     if let Some(journal) = &meta.journal {
-        let still_dirty = (0..rt.nodes())
-            .any(|n| rt.inner_node(n).dmsh.dirty_blobs().iter().any(|b| b.bucket == meta.id));
+        let still_dirty =
+            (0..rt.nodes()).any(|n| !rt.inner_node(n).dmsh.dirty_blobs_of(meta.id).is_empty());
         if !still_dirty {
             journal.truncate()?;
         }
@@ -220,11 +212,9 @@ pub(crate) fn stage_out_all(rt: &Runtime, now: SimTime, meta: &VectorMeta) -> Re
     Ok(done)
 }
 
-/// Serialize and write one page image to the backend. `policy_ix` is the
-/// vector's coherence-policy stats index, read by the caller *outside* any
-/// apply/victim critical section: taking the Policy lock (rank 20) under
-/// an apply lock (rank 40/45) would invert the declared order — the
-/// lock-graph pass rejects it.
+/// Serialize and write one page image to the backend. A policy flip
+/// racing the flush only skews the per-policy stats attribution, never
+/// the data path.
 #[allow(clippy::too_many_arguments)]
 fn stage_out_page(
     rt: &Runtime,
@@ -234,7 +224,6 @@ fn stage_out_page(
     page: u64,
     data: &[u8],
     node: usize,
-    policy_ix: usize,
     ctx: TraceCtx,
 ) -> Result<SimTime> {
     // Clip the final page to the logical length so the backend never holds
@@ -254,7 +243,7 @@ fn stage_out_page(
         .record_wait((t - serde_done).saturating_sub(rt.inner_pfs().service_time(len as u64)));
     let stats = rt.inner_stats();
     stats.staged_out.add(len as u64);
-    stats.staged_out_by_policy[policy_ix].add(len as u64);
+    stats.staged_out_by_policy[meta.policy.get().index()].add(len as u64);
     let tel = rt.telemetry();
     tel.counter("stager", "backend_bytes", &[("backend", backend_label(meta)), ("dir", "out")])
         .add(len as u64);
@@ -305,9 +294,6 @@ pub(crate) fn emergency_drain(
             Some(v) => v,
             None => continue,
         };
-        // Policy stats index for the victim's vector, read before taking
-        // its apply lock (see `stage_out_page`).
-        let policy_ix = vec.policy.lock().index();
         // Take the victim's apply lock nonblockingly ([`LockRank::
         // ApplyVictim`]): a page mid-commit is simply skipped this round —
         // the committer holds its lock, and this thread may already hold
@@ -333,7 +319,6 @@ pub(crate) fn emergency_drain(
                     id.blob,
                     &data,
                     node,
-                    policy_ix,
                     TraceCtx::NONE,
                 )?;
             }

@@ -254,15 +254,10 @@ impl<T: Element> MmVec<T> {
         access: Access,
         pattern: AccessPattern,
     ) -> Result<TxHandle> {
-        {
-            let mut pol = self.meta.policy.lock();
-            if pol.transition_invalidates(access) {
-                drop(pol);
-                self.rt.invalidate_replicas(&self.meta);
-                pol = self.meta.policy.lock();
-            }
-            *pol = Policy::from_access(access);
+        if self.meta.policy.get().transition_invalidates(access) {
+            self.rt.invalidate_replicas(&self.meta);
         }
+        self.meta.policy.set(Policy::from_access(access));
         let (mut st, _lo) = self.lock_state();
         if st.tx.is_some() {
             return Err(MmError::Internal("a transaction is already active on this vector"));
@@ -560,13 +555,6 @@ impl<T: Element> MmVec<T> {
         (st, lockorder::acquired(LockRank::VecState))
     }
 
-    /// Read the current coherence policy's name under its own lock (rank
-    /// [`LockRank::Policy`]; nests under the state lock).
-    fn policy_name(&self) -> &'static str {
-        let _lo = lockorder::acquired(LockRank::Policy);
-        self.meta.policy.lock().name()
-    }
-
     /// Copy-on-write access to a cached page's bytes: promote a shared view
     /// to a private buffer on the first write, charging any physical copy to
     /// the `runtime.bytes_copied` counter. Clean re-writes of an
@@ -633,7 +621,7 @@ impl<T: Element> MmVec<T> {
                 }
             };
             if !ctx.is_none() {
-                let policy = self.policy_name();
+                let policy = self.meta.policy.get().name();
                 tel.trace_end(
                     ctx,
                     Stage::Commit,
@@ -741,7 +729,7 @@ impl<T: Element> MmVec<T> {
             st.pcache.insert(page, CachedPage::new(PageBuf::shared(data), p.now()));
         }
         if !ctx.is_none() {
-            let policy = self.policy_name();
+            let policy = self.meta.policy.get().name();
             tel.trace_end(
                 ctx,
                 Stage::Fault,
@@ -878,7 +866,7 @@ impl<T: Element> MmVec<T> {
             }
         };
         if !ctx.is_none() {
-            let policy = self.policy_name();
+            let policy = self.meta.policy.get().name();
             tel.trace_end(ctx, Stage::Commit, begin, done, p.node() as u32, bytes, policy, page);
         }
         Ok(())
@@ -973,7 +961,7 @@ impl<T: Element> PrefetchEnv for VecEnv<'_, T> {
         let ctx = tel.trace_begin(self.p.node() as u32);
         let end_trace = |ready_at, bytes| {
             if !ctx.is_none() {
-                let policy = self.vec.policy_name();
+                let policy = self.vec.meta.policy.get().name();
                 tel.trace_end(
                     ctx,
                     Stage::Prefetch,
@@ -1045,7 +1033,7 @@ impl<T: Element> PrefetchEnv for VecEnv<'_, T> {
                         self.st.pcache.insert(start + k as u64, cp);
                     }
                     if !ctx.is_none() {
-                        let policy = self.vec.policy_name();
+                        let policy = self.vec.meta.policy.get().name();
                         tel.trace_end(
                             ctx,
                             Stage::Prefetch,
@@ -1062,7 +1050,7 @@ impl<T: Element> PrefetchEnv for VecEnv<'_, T> {
                     // Best-effort, like the single-page path: drop the span
                     // and move on to the next chunk.
                     if !ctx.is_none() {
-                        let policy = self.vec.policy_name();
+                        let policy = self.vec.meta.policy.get().name();
                         tel.trace_end(
                             ctx,
                             Stage::Prefetch,

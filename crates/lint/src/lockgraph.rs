@@ -358,12 +358,12 @@ fn record_acquire(
 }
 
 /// Report every rank that sits on a directed cycle. Reachability closure
-/// over the 10-node rank digraph; cycles carry an empty `line_text`, so
+/// over the rank digraph; cycles carry an empty `line_text`, so
 /// no allowlist entry can waive them.
 fn cycle_findings(graph: &LockGraph) -> Vec<Finding> {
     let idx = |r: u8| RANKS.iter().position(|(q, _)| *q == r).expect("known rank");
     let n = RANKS.len();
-    let mut reach = vec![[false; 10]; n];
+    let mut reach = vec![vec![false; n]; n];
     for &(from, to) in graph.edges.keys() {
         reach[idx(from)][idx(to)] = true;
     }

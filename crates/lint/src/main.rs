@@ -396,11 +396,11 @@ mod tests {
             rule: "lock-graph",
             path: "crates/core/src/runtime/stager.rs".to_string(),
             line: 42,
-            msg: "acquiring \"Policy\" while ApplyShard is held".to_string(),
+            msg: "acquiring \"RtMeta\" while ApplyShard is held".to_string(),
             line_text: "ignored in json output".to_string(),
         };
         let got = findings_json(&[&f]);
-        let want = "{\n  \"schema\": \"mm-lint-findings/v1\",\n  \"findings\": [\n    { \"rule\": \"lock-graph\", \"path\": \"crates/core/src/runtime/stager.rs\", \"line\": 42, \"msg\": \"acquiring \\\"Policy\\\" while ApplyShard is held\" }\n  ]\n}\n";
+        let want = "{\n  \"schema\": \"mm-lint-findings/v1\",\n  \"findings\": [\n    { \"rule\": \"lock-graph\", \"path\": \"crates/core/src/runtime/stager.rs\", \"line\": 42, \"msg\": \"acquiring \\\"RtMeta\\\" while ApplyShard is held\" }\n  ]\n}\n";
         assert_eq!(got, want);
     }
 

@@ -254,7 +254,6 @@ pub fn trace_propagation(files: &[FileModel]) -> Vec<Finding> {
 /// keyword on the line before `.lock()`.
 const LOCK_RANKS: &[(&str, &str, u8, &str)] = &[
     ("crates/core/src/vector.rs", "state", 10, "VecState"),
-    ("", "policy", 20, "Policy"),
     ("crates/core/src/runtime/", "vectors", 30, "RtMeta"),
     ("crates/core/src/runtime/", "apply_lock", 40, "ApplyShard"),
     ("crates/core/src/runtime/directory.rs", "shards", 48, "DirShard"),

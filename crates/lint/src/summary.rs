@@ -97,7 +97,6 @@ pub struct Summaries {
 /// lint crate is dependency-free on purpose).
 pub const RANKS: &[(u8, &str)] = &[
     (10, "VecState"),
-    (20, "Policy"),
     (30, "RtMeta"),
     (40, "ApplyShard"),
     (45, "ApplyVictim"),
@@ -312,7 +311,7 @@ fn is_transient(scrubbed: &str, after: usize) -> bool {
 }
 
 /// Whether the guard at `pos` is dereferenced straight into a copy or a
-/// store (`let p = *meta.policy.lock();`, `*meta.policy.lock() = p;`): the
+/// store (`let n = *self.next.lock();`, `*self.next.lock() = n;`): the
 /// guard is a temporary dropped at the end of the statement, not a named
 /// binding held to the block's end.
 fn is_deref_temporary(scrubbed: &str, pos: usize) -> bool {

@@ -628,4 +628,31 @@ mod tests {
         assert_eq!(g.get(), 9);
         assert!(t.snapshot().events.is_empty());
     }
+
+    #[test]
+    fn reset_leaves_the_hot_page_sketch_like_new() {
+        // Thrash the sketch past capacity, reset, then replay a second
+        // stream into it and into a fresh registry: victim-index entries
+        // surviving the reset would surface once the replay's counts
+        // climb past theirs.
+        let used = Telemetry::new();
+        let cap = DEFAULT_HOT_PAGE_CAPACITY as u64;
+        for page in 0..3 * cap {
+            used.hot_pages().record(1, page, 1);
+        }
+        assert!(used.hot_pages().evictions() > 0);
+        used.reset();
+        assert!(used.hot_pages().is_empty());
+        assert_eq!(used.hot_pages().evictions(), 0);
+
+        let fresh = Telemetry::new();
+        for t in [&used, &fresh] {
+            for i in 0..4 * cap {
+                t.hot_pages().record(2, (i * 7) % (3 * cap), 1 + i % 3);
+            }
+        }
+        assert_eq!(used.hot_pages().top(cap as usize), fresh.hot_pages().top(cap as usize));
+        assert_eq!(used.hot_pages().evictions(), fresh.hot_pages().evictions());
+        assert_eq!(used.hot_pages().touches(), fresh.hot_pages().touches());
+    }
 }

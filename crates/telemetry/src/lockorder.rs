@@ -4,7 +4,7 @@
 //! (mirrored statically by `mm-lint`'s lock-order rule):
 //!
 //! ```text
-//! VecState < Policy < RtMeta < ApplyShard < ApplyVictim < DirShard
+//! VecState < RtMeta < ApplyShard < ApplyVictim < DirShard
 //!          < DmshMeta < DmshStore < Mailbox < Resource
 //! ```
 //!
@@ -26,8 +26,6 @@
 pub enum LockRank {
     /// `MmVec::state` (pcache + active transaction).
     VecState = 10,
-    /// `VectorMeta::policy` (coherence phase).
-    Policy = 20,
     /// `Runtime` shared maps (`vectors`, staged metadata).
     RtMeta = 30,
     /// A per-page install/patch shard (`ShardRt::apply_lock`).
@@ -55,9 +53,8 @@ pub enum LockRank {
 
 impl LockRank {
     /// Every rank, ascending — the key space of the contention profiler.
-    pub const ALL: [LockRank; 10] = [
+    pub const ALL: [LockRank; 9] = [
         LockRank::VecState,
-        LockRank::Policy,
         LockRank::RtMeta,
         LockRank::ApplyShard,
         LockRank::ApplyVictim,
@@ -72,7 +69,6 @@ impl LockRank {
     pub const fn name(self) -> &'static str {
         match self {
             LockRank::VecState => "VecState",
-            LockRank::Policy => "Policy",
             LockRank::RtMeta => "RtMeta",
             LockRank::ApplyShard => "ApplyShard",
             LockRank::ApplyVictim => "ApplyVictim",
@@ -197,7 +193,7 @@ mod tests {
 
     #[test]
     fn out_of_order_release_is_fine() {
-        let a = acquired(LockRank::Policy);
+        let a = acquired(LockRank::RtMeta);
         let b = acquired(LockRank::Resource);
         drop(a); // released before b: tokens track individually
         assert_eq!(held(), vec![LockRank::Resource]);

@@ -24,20 +24,25 @@
 //! while the key population fits the capacity, and explicit error bars
 //! (`err`) once eviction starts. Determinism holds whenever record
 //! order is deterministic or no eviction occurs (counts are then pure
-//! sums).
+//! sums). The eviction victim — the minimum by `(count, (bucket, page))`
+//! — comes from a lazily repaired min-heap, so a record that evicts costs
+//! O(log capacity) and one that hits a tracked key costs a map lookup.
 
 use crate::lockorder::LockRank;
 use crate::metrics::Counter;
 use crate::SimTime;
 
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 /// Default key capacity of the hot-page sketch. Plenty for exact counts
-/// in every in-tree scenario (≤ a few hundred distinct hot pages), small
-/// enough that a full scan on eviction stays cheap.
+/// in every in-tree scenario (≤ a few hundred distinct hot pages); wider
+/// working sets evict, at O(log capacity) per newcomer.
 pub const DEFAULT_HOT_PAGE_CAPACITY: usize = 512;
 
 /// Modeled virtual-time critical-section cost for a lock of rank `rank`,
@@ -193,13 +198,62 @@ pub struct HeavyHitter {
     pub err: u64,
 }
 
+type SketchKey = (u64, u64); // (bucket, page)
+
 #[derive(Default)]
 struct SketchInner {
     // Hash map, not BTreeMap: `record` sits on the demand-fault path, so
     // the common already-tracked case must be one cheap lookup. Iteration
     // order never leaks into results — `top()` sorts by a total order and
     // eviction picks the min by `(count, key)`, also a total order.
-    entries: std::collections::HashMap<(u64, u64), (u64, u64)>, // key -> (count, err)
+    entries: HashMap<SketchKey, (u64, u64)>, // key -> (count, err)
+    // Victim index: a min-heap over `(count when pushed, key)` holding
+    // exactly one entry per tracked key. A hit does not touch it, so a
+    // stored count may lag the live one — but counts only grow, so
+    // stored <= live always, and `pop_victim` repairs lagging entries
+    // as it meets them.
+    victims: BinaryHeap<Reverse<(u64, SketchKey)>>,
+}
+
+impl SketchInner {
+    fn insert(&mut self, key: SketchKey, count: u64, err: u64) {
+        self.entries.insert(key, (count, err));
+        self.victims.push(Reverse((count, key)));
+    }
+
+    /// Remove and return the tracked key that is minimal by
+    /// `(count, key)`, with its count.
+    ///
+    /// A popped entry whose stored count still equals the live count is
+    /// that minimum: every other key's live `(count, key)` is >= its
+    /// stored one, which is >= the popped one. A lagging entry goes back
+    /// at its live count; each key is re-pushed at most once per call.
+    fn pop_victim(&mut self) -> Option<(SketchKey, u64)> {
+        loop {
+            let Reverse((stored, key)) = self.victims.pop()?;
+            let Entry::Occupied(tracked) = self.entries.entry(key) else {
+                return None; // unreachable: every index entry is a tracked key
+            };
+            let live = tracked.get().0;
+            if live == stored {
+                tracked.remove();
+                return Some((key, live));
+            }
+            self.victims.push(Reverse((live, key)));
+        }
+    }
+}
+
+/// Every tracked key, sorted `(count desc, key asc)`.
+fn ranked(entries: &HashMap<SketchKey, (u64, u64)>) -> Vec<HeavyHitter> {
+    let mut v: Vec<HeavyHitter> = entries
+        .iter()
+        .map(|(&(bucket, page), &(count, err))| HeavyHitter { bucket, page, count, err })
+        .collect();
+    v.sort_by(|a, b| {
+        b.count.cmp(&a.count).then_with(|| (a.bucket, a.page).cmp(&(b.bucket, b.page)))
+    });
+    v
 }
 
 /// Bounded space-saving top-K sketch over `(bucket, page)` touch keys.
@@ -255,33 +309,22 @@ impl HeavyHitters {
             return;
         }
         if g.entries.len() < self.capacity {
-            g.entries.insert((bucket, page), (weight, 0));
+            g.insert((bucket, page), weight, 0);
             return;
         }
         // Space-saving eviction: replace the minimum-count entry; the
         // newcomer inherits its count as both floor and error bar.
         self.evictions.inc();
-        let Some(victim) =
-            g.entries.iter().min_by_key(|(k, (c, _))| (*c, **k)).map(|(k, (c, _))| (*k, *c))
-        else {
+        let Some((_, floor)) = g.pop_victim() else {
             return; // unreachable: capacity > 0 is asserted at construction
         };
-        g.entries.remove(&victim.0);
-        g.entries.insert((bucket, page), (victim.1 + weight, victim.1));
+        g.insert((bucket, page), floor + weight, floor);
     }
 
     /// The top `k` keys by estimated count, sorted `(count desc, key
     /// asc)` — a deterministic order for deterministic inputs.
     pub fn top(&self, k: usize) -> Vec<HeavyHitter> {
-        let g = self.inner.lock();
-        let mut v: Vec<HeavyHitter> = g
-            .entries
-            .iter()
-            .map(|(&(bucket, page), &(count, err))| HeavyHitter { bucket, page, count, err })
-            .collect();
-        v.sort_by(|a, b| {
-            b.count.cmp(&a.count).then_with(|| (a.bucket, a.page).cmp(&(b.bucket, b.page)))
-        });
+        let mut v = ranked(&self.inner.lock().entries);
         v.truncate(k);
         v
     }
@@ -310,7 +353,9 @@ impl HeavyHitters {
     /// Drop every tracked key (the touch/eviction counters are owned by
     /// the registry and reset with it).
     pub fn clear(&self) {
-        self.inner.lock().entries.clear();
+        let mut g = self.inner.lock();
+        g.entries.clear();
+        g.victims.clear();
     }
 }
 
@@ -453,6 +498,7 @@ pub fn gini_permille(values: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn timeline_models_waits_only_when_busy() {
@@ -510,6 +556,108 @@ mod tests {
         let top = hh.top(10);
         assert_eq!((top[0].bucket, top[0].page), (1, 3));
         assert_eq!((top[1].bucket, top[1].page), (2, 9));
+    }
+
+    #[test]
+    fn sketch_evicts_smallest_key_among_equal_counts() {
+        let hh = HeavyHitters::detached(3);
+        // Inserted largest key first so neither heap nor hash order helps.
+        hh.record(2, 0, 4);
+        hh.record(1, 9, 4);
+        hh.record(1, 2, 4);
+        hh.record(7, 7, 1); // all tied at 4: (1, 2) goes
+        let keys = |hh: &HeavyHitters| -> Vec<(u64, u64, u64, u64)> {
+            hh.top(3).iter().map(|h| (h.bucket, h.page, h.count, h.err)).collect()
+        };
+        assert_eq!(keys(&hh), [(7, 7, 5, 4), (1, 9, 4, 0), (2, 0, 4, 0)]);
+        hh.record(0, 0, 1); // tied at 4 again: (1, 9) before (2, 0)
+        assert_eq!(keys(&hh), [(0, 0, 5, 4), (7, 7, 5, 4), (2, 0, 4, 0)]);
+        assert_eq!(hh.evictions(), 2);
+    }
+
+    #[test]
+    fn sketch_hits_after_insert_do_not_mislead_eviction() {
+        // (0, 0) enters the victim index at count 1 and is then bumped
+        // past (0, 1): the index entry lags and must be repaired, not
+        // trusted.
+        let hh = HeavyHitters::detached(2);
+        hh.record(0, 0, 1);
+        hh.record(0, 1, 3);
+        hh.record(0, 0, 9);
+        hh.record(0, 2, 1); // evicts (0, 1) at 3, not (0, 0)
+        let top = hh.top(2);
+        assert_eq!((top[0].page, top[0].count, top[0].err), (0, 10, 0));
+        assert_eq!((top[1].page, top[1].count, top[1].err), (2, 4, 3));
+    }
+
+    /// The sketch as it was before the victim index: evict by a full
+    /// `(count, key)` scan. Kept as the oracle the indexed sketch must
+    /// match step for step.
+    struct ScanSketch {
+        capacity: usize,
+        entries: HashMap<SketchKey, (u64, u64)>,
+        evictions: u64,
+    }
+
+    impl ScanSketch {
+        fn new(capacity: usize) -> Self {
+            Self { capacity, entries: HashMap::new(), evictions: 0 }
+        }
+
+        fn record(&mut self, bucket: u64, page: u64, weight: u64) {
+            if let Some((count, _err)) = self.entries.get_mut(&(bucket, page)) {
+                *count += weight;
+                return;
+            }
+            if self.entries.len() < self.capacity {
+                self.entries.insert((bucket, page), (weight, 0));
+                return;
+            }
+            self.evictions += 1;
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(k, (c, _))| (*c, **k))
+                .map(|(k, (c, _))| (*k, *c))
+                .unwrap();
+            self.entries.remove(&victim.0);
+            self.entries.insert((bucket, page), (victim.1 + weight, victim.1));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Key universes from 0.5x (never evicts) to 32x (nearly every
+        /// record evicts) the capacity, `clear()` interleaved: the
+        /// indexed sketch and the scanning one agree after every step.
+        #[test]
+        fn sketch_matches_scan_reference(
+            capacity in proptest::sample::select(vec![1usize, 2, 16, 512]),
+            universe_halves in proptest::sample::select(vec![1usize, 2, 3, 8, 64]),
+            stream in proptest::collection::vec((any::<u64>(), 1u64..=8, 0u32..400), 1..2400),
+        ) {
+            let universe = (capacity * universe_halves / 2).max(1) as u64;
+            let hh = HeavyHitters::detached(capacity);
+            let mut reference = ScanSketch::new(capacity);
+            let mut evictions_before_clear = 0;
+            for &(raw, weight, clear_draw) in stream.iter().take(4 * capacity + 64) {
+                if clear_draw == 0 {
+                    hh.clear();
+                    evictions_before_clear += reference.evictions;
+                    reference = ScanSketch::new(capacity);
+                }
+                let key = raw % universe;
+                let (bucket, page) = (key % 3, key / 3);
+                hh.record(bucket, page, weight);
+                reference.record(bucket, page, weight);
+                prop_assert_eq!(hh.top(capacity), ranked(&reference.entries));
+                prop_assert_eq!(hh.len(), reference.entries.len());
+                prop_assert_eq!(hh.evictions(), evictions_before_clear + reference.evictions);
+                let index_len = hh.inner.lock().victims.len();
+                prop_assert_eq!(index_len, hh.len());
+            }
+        }
     }
 
     /// Serializes the two edge-observation tests: the enable flag is

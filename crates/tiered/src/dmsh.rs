@@ -117,6 +117,11 @@ pub struct Dmsh {
     store_stats: LockStats,
 }
 
+/// Every blob id of `bucket`, as a key range of the (sorted) meta tree.
+fn bucket_range(bucket: u64) -> std::ops::RangeInclusive<BlobId> {
+    BlobId::new(bucket, 0)..=BlobId::new(bucket, u64::MAX)
+}
+
 impl Dmsh {
     /// Build a DMSH from device specs (must be sorted fastest-first).
     /// Telemetry handles are minted from a disabled registry; use
@@ -323,16 +328,17 @@ impl Dmsh {
 
     /// Resident blob ids of a bucket (sorted).
     pub fn blobs_of(&self, bucket: u64) -> Vec<BlobId> {
-        self.meta
-            .lock()
-            .range(BlobId::new(bucket, 0)..=BlobId::new(bucket, u64::MAX))
-            .map(|(id, _)| *id)
-            .collect()
+        self.meta.lock().range(bucket_range(bucket)).map(|(id, _)| *id).collect()
     }
 
-    /// Dirty blob ids (sorted) — candidates for staging out.
-    pub fn dirty_blobs(&self) -> Vec<BlobId> {
-        self.meta.lock().iter().filter(|(_, m)| m.dirty).map(|(id, _)| *id).collect()
+    /// Dirty blob ids of a bucket (sorted) — candidates for staging out.
+    pub fn dirty_blobs_of(&self, bucket: u64) -> Vec<BlobId> {
+        self.meta
+            .lock()
+            .range(bucket_range(bucket))
+            .filter(|(_, m)| m.dirty)
+            .map(|(id, _)| *id)
+            .collect()
     }
 
     /// Clear a blob's dirty flag after it was staged to the backend.
@@ -356,7 +362,7 @@ impl Dmsh {
         // Separate critical section: `bucket_qos` is a leaf lock and must
         // never be held while acquiring `meta` (demote nests the other way).
         let (mut blobs, _lo) = self.lock_meta();
-        for (_, m) in blobs.range_mut(BlobId::new(bucket, 0)..=BlobId::new(bucket, u64::MAX)) {
+        for (_, m) in blobs.range_mut(bucket_range(bucket)) {
             m.priority = priority;
         }
     }
@@ -372,7 +378,7 @@ impl Dmsh {
         let mut out: Vec<(TierKind, u64)> =
             self.tiers.iter().map(|t| (t.device.kind(), 0)).collect();
         let blobs = self.meta.lock();
-        for (_, m) in blobs.range(BlobId::new(bucket, 0)..=BlobId::new(bucket, u64::MAX)) {
+        for (_, m) in blobs.range(bucket_range(bucket)) {
             out[m.tier].1 += m.size;
         }
         out
@@ -973,9 +979,12 @@ mod tests {
         assert_eq!(&got[10..13], &[9, 9, 9]);
         assert_eq!(&got[..10], &[0u8; 10]);
         assert!(d.meta_of(id).unwrap().dirty);
-        assert_eq!(d.dirty_blobs(), vec![id]);
+        // A dirty blob of a neighbouring bucket stays out of bucket 2's list.
+        d.put(0, BlobId::new(3, 0), Bytes::from(vec![0u8; 64]), 1.0, 0, true).unwrap();
+        assert_eq!(d.dirty_blobs_of(2), vec![id]);
         d.mark_clean(id);
-        assert!(d.dirty_blobs().is_empty());
+        assert!(d.dirty_blobs_of(2).is_empty());
+        assert_eq!(d.dirty_blobs_of(3), vec![BlobId::new(3, 0)]);
     }
 
     #[test]
@@ -1087,7 +1096,7 @@ mod tests {
         assert!(d.used() > 0);
         assert_eq!(d.wipe(), 4);
         assert_eq!(d.used(), 0);
-        assert!(d.dirty_blobs().is_empty());
+        assert!(d.dirty_blobs_of(1).is_empty());
         assert!(d.get(0, BlobId::new(1, 0)).is_err());
         // The shard keeps working after the "restart".
         d.put(10, BlobId::new(2, 0), blob(10), 0.5, 0, false).unwrap();
