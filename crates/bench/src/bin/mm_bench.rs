@@ -18,6 +18,9 @@
 //! floors joined v4 additively: `fault_path.fault_from_scache_wide_ns_per_iter`
 //! (the scache fault over a working set 16x the hot-page sketch) and
 //! `telemetry.sketch_record_thrash_ns` (the sketch's eviction path alone).
+//! `stager.stage_out_pass_ns` (one background stage-out pass over 256
+//! pages of a `file://` vector, each owing its backend 8 bytes) joined the
+//! same way.
 //!
 //! `mm_bench --compare <old.json> <new.json>` diffs two snapshots: it
 //! prints a per-metric delta table and exits non-zero when any gated
@@ -180,6 +183,54 @@ fn sketch_record_thrash_ns() -> f64 {
     }
     std::hint::black_box(sketch.evictions());
     floor(&batches)
+}
+
+/// Wall-clock ns of one background stage-out pass over a `file://` vector
+/// of 256 resident pages, each with one 8-byte dirty range: the active
+/// stager's per-pass cost when little is dirty (no sync — a background
+/// pass is not a durability point).
+fn stage_out_pass_ns() -> f64 {
+    const PAGE: u64 = 16 * 1024;
+    const PAGES: u64 = 256;
+    const BATCHES: usize = 21;
+    // Long enough that no pass fires while a batch dirties its pages.
+    const INTERVAL_NS: u64 = 1_000_000_000;
+    let dir = std::env::temp_dir().join(format!("mm-bench-stager-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir for the stager floor");
+    let url = format!("file://{}", dir.join("pass.bin").display());
+    let cluster = Cluster::new(ClusterSpec::new(1, 1).dram_per_node(1 << 30));
+    let mut cfg = RuntimeConfig::default().with_page_size(PAGE);
+    cfg.stage_interval_ns = INTERVAL_NS;
+    let rt = Runtime::new(&cluster, cfg);
+    let (ns, _) = cluster.run_once(|p| {
+        let elems_per_page = PAGE / 8;
+        let opts = VecOptions::new().len(PAGES * elems_per_page).pcache(PAGE).no_prefetch();
+        let v: MmVec<u64> = MmVec::open(&rt, p, &url, opts).unwrap();
+        let tx = v.tx(p, TxKind::seq(0, v.len()), Access::WriteGlobal).unwrap();
+        for i in 0..v.len() {
+            v.store(p, tx.handle(), i, i);
+        }
+        tx.end().unwrap();
+        v.flush_wait(p).unwrap();
+        let mut batches = Vec::with_capacity(BATCHES);
+        for batch in 0..BATCHES as u64 {
+            // One element per page; the last page stays in the pcache.
+            let tx = v.tx(p, TxKind::seq(0, v.len()), Access::ReadWriteGlobal).unwrap();
+            for page in 0..PAGES {
+                v.store(p, tx.handle(), page * elems_per_page + batch, batch);
+            }
+            // The interval elapses: committing the last page runs the pass.
+            p.advance(INTERVAL_NS);
+            let staged = rt.stats().staged_out;
+            let t = Instant::now();
+            tx.end().unwrap();
+            batches.push(t.elapsed().as_nanos() as f64);
+            assert_eq!(rt.stats().staged_out - staged, PAGES * 8, "one pass, dirty bytes only");
+        }
+        floor(&batches)
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    ns
 }
 
 /// Telemetry overhead on the warmed load-scan fast path, in percent
@@ -449,10 +500,11 @@ fn flat_numbers(src: &str) -> BTreeMap<String, f64> {
 /// Gated metrics: `(key, max relative growth)` — the new value may exceed
 /// the old by at most this fraction before `--compare` fails. A key an
 /// older baseline lacks is skipped.
-const RATIO_GATES: [(&str, f64); 8] = [
+const RATIO_GATES: [(&str, f64); 9] = [
     ("fault_path.fault_from_scache_ns_per_iter", 0.10),
     ("fault_path.fault_from_scache_wide_ns_per_iter", 0.10),
     ("telemetry.sketch_record_thrash_ns", 0.10),
+    ("stager.stage_out_pass_ns", 0.10),
     ("fault_path.pcache_hit_ns_per_iter", 0.15),
     ("fault_latency.p99_ns", 0.20),
     ("shard_path.shard_queue_delay_p99_ns", 0.20),
@@ -671,6 +723,8 @@ fn main() {
     });
     let wide_ns = fault_from_scache_ns(WIDE_PAGES, uniform_below(5, WIDE_PAGES));
     let thrash_ns = sketch_record_thrash_ns();
+    eprintln!("mm_bench: measuring a stage-out pass ...");
+    let pass_ns = stage_out_pass_ns();
     eprintln!("mm_bench: measuring telemetry overhead ...");
     let overhead_pct = telemetry_overhead_pct();
     eprintln!("mm_bench: measuring fault-latency percentiles ...");
@@ -682,7 +736,7 @@ fn main() {
     let scale_json = scale_path_json();
 
     let json = format!(
-        "{{\n  \"schema\": \"mm-bench/v4\",\n  \"generated_unix\": {now_unix},\n  \"date\": \"{y:04}-{m:02}-{d:02}\",\n  \"fault_path\": {{\n    \"pcache_hit_ns_per_iter\": {hit_ns:.1},\n    \"fault_from_scache_ns_per_iter\": {fault_ns:.1},\n    \"fault_from_scache_wide_ns_per_iter\": {wide_ns:.1}\n  }},\n  \"telemetry\": {{\n    \"overhead_pct\": {overhead_pct:.2},\n    \"budget_pct\": 2.0,\n    \"sketch_record_thrash_ns\": {thrash_ns:.1}\n  }},\n  \"fault_latency\": {{\n    \"tenant\": \"bench\",\n    \"faults\": {faults},\n    \"p50_ns\": {p50},\n    \"p99_ns\": {p99},\n    \"p999_ns\": {p999}\n  }},\n  \"shard_path\": {{\n    \"shard_queue_delay_p99_ns\": {queue_p99},\n    \"owner_fast_hit_rate\": {hit_rate:.4},\n    \"owner_fast_hits\": {hits},\n    \"owner_fast_misses\": {misses},\n    \"batched_crossings\": {crossings}\n  }},\n{ann_json},\n{scale_json}\n}}\n"
+        "{{\n  \"schema\": \"mm-bench/v4\",\n  \"generated_unix\": {now_unix},\n  \"date\": \"{y:04}-{m:02}-{d:02}\",\n  \"fault_path\": {{\n    \"pcache_hit_ns_per_iter\": {hit_ns:.1},\n    \"fault_from_scache_ns_per_iter\": {fault_ns:.1},\n    \"fault_from_scache_wide_ns_per_iter\": {wide_ns:.1}\n  }},\n  \"telemetry\": {{\n    \"overhead_pct\": {overhead_pct:.2},\n    \"budget_pct\": 2.0,\n    \"sketch_record_thrash_ns\": {thrash_ns:.1}\n  }},\n  \"stager\": {{\n    \"stage_out_pass_ns\": {pass_ns:.0}\n  }},\n  \"fault_latency\": {{\n    \"tenant\": \"bench\",\n    \"faults\": {faults},\n    \"p50_ns\": {p50},\n    \"p99_ns\": {p99},\n    \"p999_ns\": {p999}\n  }},\n  \"shard_path\": {{\n    \"shard_queue_delay_p99_ns\": {queue_p99},\n    \"owner_fast_hit_rate\": {hit_rate:.4},\n    \"owner_fast_hits\": {hits},\n    \"owner_fast_misses\": {misses},\n    \"batched_crossings\": {crossings}\n  }},\n{ann_json},\n{scale_json}\n}}\n"
     );
 
     let path = std::env::var("MM_BENCH_OUT")
@@ -693,6 +747,7 @@ fn main() {
     println!("  fault from scache {fault_ns:.1} ns/iter ({NARROW_PAGES} pages)");
     println!("  fault from scache {wide_ns:.1} ns/iter ({WIDE_PAGES} pages, random order)");
     println!("  sketch record     {thrash_ns:.1} ns (thrashing, {WIDE_PAGES} keys)");
+    println!("  stage-out pass    {pass_ns:.0} ns (256 pages x 8 dirty bytes, file://)");
     println!("  telemetry overhead {overhead_pct:+.2}% (budget 2%)");
     println!("  fault latency p50 {p50} p99 {p99} p999 {p999} ns over {faults} faults");
     println!(

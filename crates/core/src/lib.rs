@@ -57,12 +57,15 @@ pub mod pagebuf;
 pub mod pcache;
 pub mod policy;
 pub mod prefetch;
-pub mod rangeset;
 pub mod runtime;
 pub mod tenant;
 pub mod tx;
 pub mod txguard;
 pub mod vector;
+
+/// Byte-range sets live beside the scache's dirty index in
+/// `megammap-tiered`; the pcache's copy-on-write tracker is the same type.
+pub use megammap_tiered::rangeset;
 
 pub use client::VecOptions;
 pub use config::RuntimeConfig;

@@ -99,6 +99,13 @@ impl IntentJournal {
         Ok(Self { wal, end: Mutex::new(end) })
     }
 
+    /// A journal over a caller-supplied log object (tests observe the log's
+    /// I/O order through a wrapper).
+    #[cfg(test)]
+    pub(crate) fn over(wal: Arc<dyn DataObject>) -> Self {
+        Self { wal, end: Mutex::new(0) }
+    }
+
     /// Append one intent: `payload` is about to be written at byte offset
     /// `off` of the data object. Returns the record's size in the log.
     pub fn append(&self, off: u64, payload: &[u8]) -> Result<u64> {

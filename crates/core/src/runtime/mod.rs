@@ -1447,8 +1447,9 @@ impl Runtime {
     }
 
     /// The active stager: periodically push a nonvolatile vector's dirty
-    /// pages to its backend while the application computes, so explicit
-    /// synchronization later finds little left to do.
+    /// bytes to its backend while the application computes, so explicit
+    /// synchronization later finds little left to write. A pass makes the
+    /// bytes visible in the backend object; it does not sync them.
     pub(crate) fn maybe_stage(&self, meta: &VectorMeta, now: SimTime) {
         if !meta.nonvolatile {
             return;
@@ -1468,7 +1469,7 @@ impl Runtime {
             // A failed background flush is not fatal (the data stays dirty
             // in the scache and the next flush retries) but must be
             // visible: count it instead of discarding the Result.
-            if let Err(_e) = stager::stage_out_all(self, now, meta) {
+            if let Err(_e) = stager::stage_out_all(self, now, meta, false) {
                 self.inner.telemetry.counter("stager", "async_flush_errors", &[]).inc();
             }
         }
@@ -1565,11 +1566,13 @@ impl Runtime {
 
     // ---- persistence ------------------------------------------------------
 
-    /// Stage every dirty page of `meta` out to its backend. Returns the
-    /// virtual completion time; the caller decides whether to wait
-    /// (synchronous msync) or not (asynchronous flushing during compute).
+    /// Stage every dirty byte of `meta` out to its backend and sync it — a
+    /// durability point, unlike the active stager's background passes.
+    /// Returns the virtual completion time; the caller decides whether to
+    /// wait (synchronous msync) or not (asynchronous flushing during
+    /// compute).
     pub(crate) fn flush_vector(&self, now: SimTime, meta: &VectorMeta) -> Result<SimTime> {
-        stager::stage_out_all(self, now, meta)
+        stager::stage_out_all(self, now, meta, true)
     }
 
     /// Invalidate all read replicas of a vector (phase change).

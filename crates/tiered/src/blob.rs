@@ -45,8 +45,6 @@ pub struct BlobMeta {
     pub score_node: usize,
     /// Virtual time the score was last updated.
     pub scored_at: SimTime,
-    /// Whether the blob holds modifications not yet staged to the backend.
-    pub dirty: bool,
     /// Virtual time the blob's content becomes valid (in-flight writes).
     pub ready_at: SimTime,
 }

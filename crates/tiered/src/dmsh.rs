@@ -14,6 +14,7 @@ use megammap_telemetry::{
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::blob::{BlobId, BlobMeta};
+use crate::rangeset::RangeSet;
 
 /// Errors from DMSH operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,6 +81,16 @@ struct BucketQos {
     inflicted: Counter,
 }
 
+/// Everything the `meta` mutex guards: blob metadata plus the dirty index.
+#[derive(Default)]
+struct MetaState {
+    blobs: BTreeMap<BlobId, BlobMeta>,
+    /// Per blob, the bytes its backend does not hold yet. An entry exists
+    /// exactly when a resident blob has at least one such byte, and its
+    /// ranges lie inside `[0, size)`. Tier moves never touch it.
+    dirty: BTreeMap<BlobId, RangeSet>,
+}
+
 /// Retention priority of buckets with no QoS registration — the legacy
 /// single-tenant mode. Matches the batch tenant class so untagged traffic
 /// neither dominates nor starves.
@@ -96,7 +107,7 @@ pub struct Dmsh {
     /// Node index for event stamping (0 when unattached).
     node: u32,
     tiers: Vec<Tier>,
-    meta: Mutex<BTreeMap<BlobId, BlobMeta>>,
+    meta: Mutex<MetaState>,
     /// Tenant QoS by bucket (leaf lock; nests under `meta` in `demote`).
     bucket_qos: Mutex<HashMap<u64, BucketQos>>,
     telemetry: Telemetry,
@@ -170,7 +181,7 @@ impl Dmsh {
             name,
             node,
             tiers,
-            meta: Mutex::new(BTreeMap::new()),
+            meta: Mutex::new(MetaState::default()),
             bucket_qos: Mutex::new(HashMap::new()),
             telemetry,
             tier_metrics,
@@ -237,9 +248,9 @@ impl Dmsh {
                 continue;
             }
             let ids: Vec<BlobId> =
-                meta.iter().filter(|(_, m)| m.tier == i).map(|(id, _)| *id).collect();
+                meta.blobs.iter().filter(|(_, m)| m.tier == i).map(|(id, _)| *id).collect();
             for id in ids {
-                match self.demote(&mut meta, now, id, None) {
+                match self.demote(&mut meta.blobs, now, id, None) {
                     Ok(t) => done = done.max(t),
                     Err(_) => {
                         let labels = [("node", self.name.as_str())];
@@ -257,7 +268,7 @@ impl Dmsh {
     /// Take the blob-metadata lock, registering it with the [`lockorder`]
     /// layer (rank [`LockRank::DmshMeta`]; per-tier store locks nest under
     /// it at [`LockRank::DmshStore`]).
-    fn lock_meta(&self) -> (MutexGuard<'_, BTreeMap<BlobId, BlobMeta>>, LockOrderToken) {
+    fn lock_meta(&self) -> (MutexGuard<'_, MetaState>, LockOrderToken) {
         let g = self.meta.lock();
         self.meta_stats.acquire_untimed();
         (g, lockorder::acquired(LockRank::DmshMeta))
@@ -265,10 +276,7 @@ impl Dmsh {
 
     /// [`lock_meta`](Self::lock_meta) at a known virtual time: also
     /// charges the contention profiler's modeled wait.
-    fn lock_meta_at(
-        &self,
-        now: SimTime,
-    ) -> (MutexGuard<'_, BTreeMap<BlobId, BlobMeta>>, LockOrderToken) {
+    fn lock_meta_at(&self, now: SimTime) -> (MutexGuard<'_, MetaState>, LockOrderToken) {
         let g = self.meta.lock();
         self.meta_stats.acquire(&self.meta_timeline, now);
         (g, lockorder::acquired(LockRank::DmshMeta))
@@ -318,34 +326,34 @@ impl Dmsh {
 
     /// Metadata for a blob, if resident.
     pub fn meta_of(&self, id: BlobId) -> Option<BlobMeta> {
-        self.meta.lock().get(&id).copied()
+        self.meta.lock().blobs.get(&id).copied()
     }
 
     /// Whether a blob is resident.
     pub fn contains(&self, id: BlobId) -> bool {
-        self.meta.lock().contains_key(&id)
+        self.meta.lock().blobs.contains_key(&id)
     }
 
     /// Resident blob ids of a bucket (sorted).
     pub fn blobs_of(&self, bucket: u64) -> Vec<BlobId> {
-        self.meta.lock().range(bucket_range(bucket)).map(|(id, _)| *id).collect()
+        self.meta.lock().blobs.range(bucket_range(bucket)).map(|(id, _)| *id).collect()
     }
 
     /// Dirty blob ids of a bucket (sorted) — candidates for staging out.
+    /// Walks the dirty index only, never the bucket's clean blobs.
     pub fn dirty_blobs_of(&self, bucket: u64) -> Vec<BlobId> {
-        self.meta
-            .lock()
-            .range(bucket_range(bucket))
-            .filter(|(_, m)| m.dirty)
-            .map(|(id, _)| *id)
-            .collect()
+        self.meta.lock().dirty.range(bucket_range(bucket)).map(|(id, _)| *id).collect()
     }
 
-    /// Clear a blob's dirty flag after it was staged to the backend.
+    /// The byte ranges of `id` its backend does not hold yet; `None` for a
+    /// clean or absent blob. A blob placed dirty reports its full extent.
+    pub fn dirty_ranges(&self, id: BlobId) -> Option<RangeSet> {
+        self.meta.lock().dirty.get(&id).cloned()
+    }
+
+    /// Forget a blob's dirty ranges after they were staged to the backend.
     pub fn mark_clean(&self, id: BlobId) {
-        if let Some(m) = self.meta.lock().get_mut(&id) {
-            m.dirty = false;
-        }
+        self.meta.lock().dirty.remove(&id);
     }
 
     /// Register a bucket's tenant QoS: its blobs get `priority` for victim
@@ -361,8 +369,8 @@ impl Dmsh {
         self.bucket_qos.lock().insert(bucket, qos);
         // Separate critical section: `bucket_qos` is a leaf lock and must
         // never be held while acquiring `meta` (demote nests the other way).
-        let (mut blobs, _lo) = self.lock_meta();
-        for (_, m) in blobs.range_mut(bucket_range(bucket)) {
+        let (mut meta, _lo) = self.lock_meta();
+        for (_, m) in meta.blobs.range_mut(bucket_range(bucket)) {
             m.priority = priority;
         }
     }
@@ -377,8 +385,8 @@ impl Dmsh {
     pub fn bucket_tier_usage(&self, bucket: u64) -> Vec<(TierKind, u64)> {
         let mut out: Vec<(TierKind, u64)> =
             self.tiers.iter().map(|t| (t.device.kind(), 0)).collect();
-        let blobs = self.meta.lock();
-        for (_, m) in blobs.range(bucket_range(bucket)) {
+        let meta = self.meta.lock();
+        for (_, m) in meta.blobs.range(bucket_range(bucket)) {
             out[m.tier].1 += m.size;
         }
         out
@@ -521,21 +529,31 @@ impl Dmsh {
         // Resolve tenant priority before taking `meta` (qos is a leaf lock).
         let prio = self.bucket_priority(id.bucket);
         let (mut meta, _lo) = self.lock_meta_at(now);
+        // A dirty placement hands over bytes the backend has never seen:
+        // the whole extent is owed, whatever was recorded before.
+        let owed = (dirty && size > 0).then(|| {
+            let mut r = RangeSet::new();
+            r.insert(0, size);
+            r
+        });
         // Overwrite in place if resident and same size — unless the blob
         // sits on a retired device, in which case re-place it.
-        if let Some(m) = meta.get(&id).copied() {
+        if let Some(m) = meta.blobs.get(&id).copied() {
             if m.size == size && !self.is_retired(m.tier, now) {
                 let done = self.tier_io(m.tier, now, size);
                 self.lock_store(m.tier, now).insert(id, data);
                 let e = meta
+                    .blobs
                     .get_mut(&id)
                     .ok_or(DmshError::Internal("blob vanished during overwrite"))?;
                 e.score = score;
                 e.priority = prio;
                 e.score_node = node;
                 e.scored_at = now;
-                e.dirty = e.dirty || dirty;
                 e.ready_at = e.ready_at.max(done);
+                if let Some(owed) = owed {
+                    meta.dirty.insert(id, owed);
+                }
                 self.publish_occupancy();
                 return Ok(PutOutcome { done_at: done, tier: m.tier_kind });
             }
@@ -555,12 +573,12 @@ impl Dmsh {
             // Try to make room by demoting lower-ranked blobs: a newcomer
             // displaces residents its tenant outranks, and among equals the
             // score decides — never the other way around.
-            while let Some(victim) = self.victim_on(&meta, i) {
-                let vm = meta[&victim];
+            while let Some(victim) = self.victim_on(&meta.blobs, i) {
+                let vm = meta.blobs[&victim];
                 if vm.priority > prio || (vm.priority == prio && vm.score >= score) {
                     break; // residents outrank the newcomer; go down a tier
                 }
-                match self.demote(&mut meta, now, victim, Some(id.bucket)) {
+                match self.demote(&mut meta.blobs, now, victim, Some(id.bucket)) {
                     Ok(t) => {
                         done = done.max(t);
                         if tier.device.available() >= size {
@@ -583,7 +601,7 @@ impl Dmsh {
         }
         let io_done = self.tier_io(t, done, size);
         self.lock_store(t, done).insert(id, data);
-        meta.insert(
+        meta.blobs.insert(
             id,
             BlobMeta {
                 tier: t,
@@ -593,10 +611,12 @@ impl Dmsh {
                 priority: prio,
                 score_node: node,
                 scored_at: now,
-                dirty,
                 ready_at: io_done,
             },
         );
+        if let Some(owed) = owed {
+            meta.dirty.insert(id, owed);
+        }
         self.publish_occupancy();
         Ok(PutOutcome { done_at: io_done, tier: self.tiers[t].device.kind() })
     }
@@ -616,7 +636,7 @@ impl Dmsh {
         ctx: TraceCtx,
     ) -> Result<(Bytes, SimTime), DmshError> {
         let (meta, _lo) = self.lock_meta_at(now);
-        let m = *meta.get(&id).ok_or(DmshError::NotFound(id))?;
+        let m = *meta.blobs.get(&id).ok_or(DmshError::NotFound(id))?;
         let start = now.max(m.ready_at);
         let done = self.tier_io(m.tier, start, m.size);
         let data = self
@@ -677,7 +697,8 @@ impl Dmsh {
     ) -> Result<SimTime, DmshError> {
         let done = self.put_range(now, id, off, patch)?;
         if !ctx.is_none() {
-            let tier = self.meta.lock().get(&id).map(|m| m.tier_kind.name()).unwrap_or("unknown");
+            let tier =
+                self.meta.lock().blobs.get(&id).map(|m| m.tier_kind.name()).unwrap_or("unknown");
             self.telemetry.trace_child(
                 ctx,
                 Stage::TierWrite,
@@ -703,7 +724,7 @@ impl Dmsh {
         len: u64,
     ) -> Result<(Bytes, SimTime), DmshError> {
         let (meta, _lo) = self.lock_meta_at(now);
-        let m = *meta.get(&id).ok_or(DmshError::NotFound(id))?;
+        let m = *meta.blobs.get(&id).ok_or(DmshError::NotFound(id))?;
         let start = now.max(m.ready_at);
         let end = (off + len).min(m.size);
         let off = off.min(m.size);
@@ -729,8 +750,9 @@ impl Dmsh {
         off: u64,
         patch: &[u8],
     ) -> Result<SimTime, DmshError> {
-        let (mut meta, _lo) = self.lock_meta_at(now);
-        let m = meta.get_mut(&id).ok_or(DmshError::NotFound(id))?;
+        let (mut state, _lo) = self.lock_meta_at(now);
+        let MetaState { blobs, dirty } = &mut *state;
+        let m = blobs.get_mut(&id).ok_or(DmshError::NotFound(id))?;
         let mut store = self.lock_store(m.tier, now);
         let _lo_store = lockorder::acquired(LockRank::DmshStore);
         let cur =
@@ -754,10 +776,14 @@ impl Dmsh {
         store.insert(id, Bytes::from(buf));
         let start = now.max(m.ready_at);
         let done = self.tier_io(m.tier, start, patch.len() as u64);
-        m.dirty = true;
+        // Only the patch is owed to the backend: bytes a growing patch
+        // zero-filled below `off` stay clean.
+        if !patch.is_empty() {
+            dirty.entry(id).or_default().insert(off, end as u64);
+        }
         m.ready_at = done;
         drop(store);
-        drop(meta);
+        drop(state);
         self.publish_occupancy();
         Ok(done)
     }
@@ -766,7 +792,7 @@ impl Dmsh {
     /// scores if several processes score the same page within a
     /// configurable timeframe" — pass `window_ns` for that merge rule.
     pub fn rescore(&self, now: SimTime, id: BlobId, score: f32, node: usize, window_ns: u64) {
-        if let Some(m) = self.meta.lock().get_mut(&id) {
+        if let Some(m) = self.meta.lock().blobs.get_mut(&id) {
             let within_window = now.saturating_sub(m.scored_at) <= window_ns;
             if !within_window || score > m.score {
                 m.score = if within_window { m.score.max(score) } else { score };
@@ -776,8 +802,9 @@ impl Dmsh {
         }
     }
 
-    fn remove_locked(&self, meta: &mut BTreeMap<BlobId, BlobMeta>, id: BlobId) -> Option<Bytes> {
-        let m = meta.remove(&id)?;
+    fn remove_locked(&self, meta: &mut MetaState, id: BlobId) -> Option<Bytes> {
+        meta.dirty.remove(&id);
+        let m = meta.blobs.remove(&id)?;
         let data = self.tiers[m.tier].store.lock().remove(&id);
         self.tiers[m.tier].device.free(m.size);
         data
@@ -797,8 +824,9 @@ impl Dmsh {
     /// intent journal. Returns the number of blobs lost.
     pub fn wipe(&self) -> usize {
         let (mut meta, _lo) = self.lock_meta();
-        let lost = meta.len();
-        for (id, m) in std::mem::take(&mut *meta) {
+        let lost = meta.blobs.len();
+        meta.dirty.clear();
+        for (id, m) in std::mem::take(&mut meta.blobs) {
             self.tiers[m.tier].store.lock().remove(&id);
             self.tiers[m.tier].device.free(m.size);
         }
@@ -831,8 +859,8 @@ impl Dmsh {
             let cap = self.tiers[i].device.spec().capacity;
             let limit = (cap as f64 * watermark) as u64;
             while self.tiers[i].device.used() > limit {
-                let Some(victim) = self.victim_on(&meta, i) else { break };
-                match self.demote(&mut meta, now, victim, None) {
+                let Some(victim) = self.victim_on(&meta.blobs, i) else { break };
+                match self.demote(&mut meta.blobs, now, victim, None) {
                     Ok(t) => done = done.max(t),
                     Err(_) => break,
                 }
@@ -845,6 +873,7 @@ impl Dmsh {
                 let above = &self.tiers[i - 1].device;
                 let limit = (above.spec().capacity as f64 * watermark) as u64;
                 let hot = meta
+                    .blobs
                     .iter()
                     .filter(|(_, m)| m.tier == i && m.score > 0.5)
                     .max_by(|(ia, ma), (ib, mb)| {
@@ -862,7 +891,7 @@ impl Dmsh {
                 if above.used() + size > limit {
                     break;
                 }
-                match self.promote(&mut meta, now, id) {
+                match self.promote(&mut meta.blobs, now, id) {
                     Some(t) => done = done.max(t),
                     None => break,
                 }
@@ -978,7 +1007,7 @@ mod tests {
         let (got, _) = d.get(1_000_000_000, id).unwrap();
         assert_eq!(&got[10..13], &[9, 9, 9]);
         assert_eq!(&got[..10], &[0u8; 10]);
-        assert!(d.meta_of(id).unwrap().dirty);
+        assert_eq!(d.dirty_ranges(id).unwrap().ranges(), &[(10, 13)], "only the patch is owed");
         // A dirty blob of a neighbouring bucket stays out of bucket 2's list.
         d.put(0, BlobId::new(3, 0), Bytes::from(vec![0u8; 64]), 1.0, 0, true).unwrap();
         assert_eq!(d.dirty_blobs_of(2), vec![id]);
@@ -1036,7 +1065,7 @@ mod tests {
         let m = d.meta_of(id).unwrap();
         let (got, _) = d.get(m.ready_at, id).unwrap();
         assert_eq!(got[0], 2);
-        assert!(m.dirty);
+        assert_eq!(d.dirty_ranges(id).unwrap().ranges(), &[(0, 100)], "a dirty put owes it all");
     }
 
     #[test]
@@ -1065,7 +1094,11 @@ mod tests {
         assert!(done > 200, "evacuation charges I/O");
         let m = d.meta_of(id).unwrap();
         assert_eq!(m.tier_kind, TierKind::Nvme, "blob demoted off the dead device");
-        assert!(m.dirty, "dirty flag survives evacuation");
+        assert_eq!(
+            d.dirty_ranges(id).unwrap().ranges(),
+            &[(0, 1000)],
+            "dirty ranges survive evacuation"
+        );
         let (got, _) = d.get(m.ready_at, id).unwrap();
         assert_eq!(got, blob(1000));
         assert_eq!(d.device(0).used(), 0);

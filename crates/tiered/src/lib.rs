@@ -5,7 +5,9 @@
 //! provide metadata management to locate data in the DMSH". This crate is
 //! the from-scratch Hermes equivalent:
 //!
-//! * [`blob`] — blob identifiers and per-blob metadata (tier, score, dirty).
+//! * [`blob`] — blob identifiers and per-blob metadata (tier, score).
+//! * [`rangeset`] — sorted, coalescing byte-range sets: the pcache's
+//!   copy-on-write diff tracker and the entries of the DMSH dirty index.
 //! * [`dmsh`] — the per-node Deep Memory and Storage Hierarchy: an ordered
 //!   stack of tiers (DRAM → CXL → NVMe → SSD → HDD), each a device model
 //!   (`megammap-sim`) plus real byte storage. Placement puts blobs in the
@@ -20,6 +22,8 @@
 
 pub mod blob;
 pub mod dmsh;
+pub mod rangeset;
 
 pub use blob::{BlobId, BlobMeta};
 pub use dmsh::{Dmsh, DmshError, PutOutcome};
+pub use rangeset::RangeSet;

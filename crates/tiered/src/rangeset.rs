@@ -4,14 +4,39 @@
 //! "transactions store the exact memory accesses made, [so] only the bits of
 //! the page that were modified during a transaction will be a part of the
 //! writer MemoryTask operation. This reduces I/O amplification and improves
-//! data correctness." [`RangeSet`] is that tracker.
+//! data correctness." [`RangeSet`] is that tracker, and the same type is the
+//! DMSH's dirty index entry ([`Dmsh::dirty_ranges`](crate::Dmsh::dirty_ranges)):
+//! the bytes of a resident blob its backend does not hold yet.
 
 /// A set of disjoint, sorted, half-open `[start, end)` byte ranges that
 /// coalesces on insert.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RangeSet {
-    ranges: Vec<(u64, u64)>,
+///
+/// A one-range set — a fully dirty page, a single store — lives inline and
+/// never allocates: the DMSH dirty index holds one per dirty blob, the
+/// pcache one per cached page.
+#[derive(Debug, Clone)]
+pub struct RangeSet(Repr);
+
+#[derive(Debug, Clone)]
+enum Repr {
+    One([(u64, u64); 1]),
+    /// Empty, or grown past one range at some point.
+    Many(Vec<(u64, u64)>),
 }
+
+impl Default for RangeSet {
+    fn default() -> Self {
+        Self(Repr::Many(Vec::new()))
+    }
+}
+
+impl PartialEq for RangeSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.ranges() == other.ranges()
+    }
+}
+
+impl Eq for RangeSet {}
 
 impl RangeSet {
     /// Empty set.
@@ -21,22 +46,25 @@ impl RangeSet {
 
     /// Whether no bytes are covered.
     pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
+        self.ranges().is_empty()
     }
 
     /// Number of disjoint ranges.
     pub fn num_ranges(&self) -> usize {
-        self.ranges.len()
+        self.ranges().len()
     }
 
     /// Total bytes covered.
     pub fn covered(&self) -> u64 {
-        self.ranges.iter().map(|(s, e)| e - s).sum()
+        self.iter().map(|(s, e)| e - s).sum()
     }
 
     /// The disjoint ranges, sorted.
     pub fn ranges(&self) -> &[(u64, u64)] {
-        &self.ranges
+        match &self.0 {
+            Repr::One(one) => one,
+            Repr::Many(many) => many,
+        }
     }
 
     /// Insert `[start, end)`, merging with neighbours/overlaps.
@@ -44,24 +72,41 @@ impl RangeSet {
         if start >= end {
             return;
         }
+        let ranges = match &mut self.0 {
+            Repr::Many(many) if many.is_empty() => {
+                self.0 = Repr::One([(start, end)]);
+                return;
+            }
+            Repr::Many(many) => many,
+            Repr::One([(s, e)]) => {
+                if start <= *e && *s <= end {
+                    (*s, *e) = (start.min(*s), end.max(*e));
+                } else {
+                    let (old, new) = ((*s, *e), (start, end));
+                    self.0 = Repr::Many(vec![old.min(new), old.max(new)]);
+                }
+                return;
+            }
+        };
         // Find insertion window: all ranges overlapping or touching
         // [start, end).
-        let lo = self.ranges.partition_point(|&(_, e)| e < start);
-        let hi = self.ranges.partition_point(|&(s, _)| s <= end);
+        let lo = ranges.partition_point(|&(_, e)| e < start);
+        let hi = ranges.partition_point(|&(s, _)| s <= end);
         if lo == hi {
-            self.ranges.insert(lo, (start, end));
+            ranges.insert(lo, (start, end));
             return;
         }
-        let new_start = start.min(self.ranges[lo].0);
-        let new_end = end.max(self.ranges[hi - 1].1);
-        self.ranges.drain(lo..hi);
-        self.ranges.insert(lo, (new_start, new_end));
+        let new_start = start.min(ranges[lo].0);
+        let new_end = end.max(ranges[hi - 1].1);
+        ranges.drain(lo..hi);
+        ranges.insert(lo, (new_start, new_end));
     }
 
     /// Whether `pos` is covered.
     pub fn contains(&self, pos: u64) -> bool {
-        let i = self.ranges.partition_point(|&(_, e)| e <= pos);
-        self.ranges.get(i).is_some_and(|&(s, _)| s <= pos)
+        let ranges = self.ranges();
+        let i = ranges.partition_point(|&(_, e)| e <= pos);
+        ranges.get(i).is_some_and(|&(s, _)| s <= pos)
     }
 
     /// Whether the whole `[start, end)` is covered by one range.
@@ -69,18 +114,19 @@ impl RangeSet {
         if start >= end {
             return true;
         }
-        let i = self.ranges.partition_point(|&(_, e)| e <= start);
-        self.ranges.get(i).is_some_and(|&(s, e)| s <= start && end <= e)
+        let ranges = self.ranges();
+        let i = ranges.partition_point(|&(_, e)| e <= start);
+        ranges.get(i).is_some_and(|&(s, e)| s <= start && end <= e)
     }
 
     /// Remove everything.
     pub fn clear(&mut self) {
-        self.ranges.clear();
+        *self = Self::default();
     }
 
     /// Iterate over `(start, end)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.ranges.iter().copied()
+        self.ranges().iter().copied()
     }
 }
 
@@ -137,6 +183,25 @@ mod tests {
         r.insert(5, 5);
         r.insert(9, 3);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn inline_and_spilled_sets_compare_by_content() {
+        // Two disjoint ranges spill to the heap; filling the gap leaves a
+        // one-range heap set equal to the inline one.
+        let mut spilled = RangeSet::new();
+        spilled.insert(4, 6);
+        spilled.insert(0, 2);
+        assert_eq!(spilled.ranges(), &[(0, 2), (4, 6)]);
+        spilled.insert(2, 4);
+        let mut inline = RangeSet::new();
+        inline.insert(0, 6);
+        assert_eq!(spilled, inline);
+        assert!(inline.covers(1, 5) && spilled.contains(5));
+        spilled.clear();
+        assert_eq!(spilled, RangeSet::new());
+        spilled.insert(7, 9);
+        assert_eq!(spilled.ranges(), &[(7, 9)]);
     }
 
     #[test]

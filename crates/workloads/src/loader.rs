@@ -108,8 +108,10 @@ mod tests {
     use crate::datagen::{generate, HaloParams};
     use megammap_cluster::{Cluster, ClusterSpec};
 
-    fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("mm-loader-{}", std::process::id()));
+    /// A directory of the calling test's own: tests run on parallel threads
+    /// and each removes its directory when done.
+    fn tmpdir(test: &str) -> std::path::PathBuf {
+        let d = std::env::temp_dir().join(format!("mm-loader-{}-{test}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         d
     }
@@ -128,7 +130,7 @@ mod tests {
     #[test]
     fn bin_loader_partitions_match_source() {
         let d = generate(HaloParams { n_points: 100, ..Default::default() });
-        let dir = tmpdir();
+        let dir = tmpdir("bin");
         let path = dir.join("pts.bin");
         std::fs::write(&path, d.to_bytes()).unwrap();
         let cluster = Cluster::new(ClusterSpec::new(2, 2).dram_per_node(1 << 30));
@@ -149,7 +151,7 @@ mod tests {
     #[test]
     fn h5_and_pq_loaders_agree_with_bin() {
         let d = generate(HaloParams { n_points: 64, ..Default::default() });
-        let dir = tmpdir();
+        let dir = tmpdir("h5-pq");
         let bin = dir.join("a.bin");
         std::fs::write(&bin, d.to_bytes()).unwrap();
         let h5 = dir.join("a.h5");
