@@ -13,7 +13,7 @@
 //!   and is demoted to the capacity tiers first.
 //!
 //! Flat search scans whole posting lists under `Seq`-kind read
-//! transactions, so misses coalesce into ranged `read_page_run` fetches;
+//! transactions, so misses coalesce into ranged `read_pages` fetches;
 //! PQ re-ranking touches single vectors under a `Random`-hinted
 //! transaction, which zeroes the prefetch window and skips score
 //! bookkeeping on every miss.
@@ -286,7 +286,7 @@ impl IvfIndex {
 
     /// Exhaustive scan of the probed posting lists at full precision.
     /// Sequential transactions per list: misses coalesce into ranged
-    /// `read_page_run` fetches.
+    /// `read_pages` fetches.
     pub fn search_flat(
         &self,
         p: &Proc,

@@ -20,7 +20,8 @@
 //! `telemetry.sketch_record_thrash_ns` (the sketch's eviction path alone).
 //! `stager.stage_out_pass_ns` (one background stage-out pass over 256
 //! pages of a `file://` vector, each owing its backend 8 bytes) joined the
-//! same way.
+//! same way, as did the `code_size` section (non-blank, non-comment,
+//! non-test lines per workspace crate — ROADMAP item 5's tracked number).
 //!
 //! `mm_bench --compare <old.json> <new.json>` diffs two snapshots: it
 //! prints a per-metric delta table and exits non-zero when any gated
@@ -34,7 +35,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use megammap::prelude::*;
-use megammap_bench::scale;
+use megammap_bench::{loc, scale};
 use megammap_cluster::{Cluster, ClusterSpec};
 use megammap_sim::DeviceSpec;
 use megammap_telemetry::{HeavyHitters, DEFAULT_HOT_PAGE_CAPACITY};
@@ -695,6 +696,25 @@ fn ann_path_json() -> String {
     )
 }
 
+/// Non-test lines of code per workspace crate, as the `code_size` JSON
+/// section (a number a PR may shrink, and must justify growing).
+fn code_size_json() -> String {
+    let crates = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/.."));
+    let mut names: Vec<String> = std::fs::read_dir(crates)
+        .expect("crates/ next to this crate")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .collect();
+    names.sort();
+    let rows: Vec<String> = names
+        .iter()
+        .filter_map(|name| {
+            let loc = loc::count_crate(&crates.join(name).join("src")).ok()?;
+            Some(format!("    \"{name}\": {loc}"))
+        })
+        .collect();
+    format!("  \"code_size\": {{\n{}\n  }}", rows.join(",\n"))
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     if argv.get(1).is_some_and(|a| a == "--compare") {
@@ -734,9 +754,10 @@ fn main() {
     eprintln!("mm_bench: measuring ann search paths ...");
     let ann_json = ann_path_json();
     let scale_json = scale_path_json();
+    let code_json = code_size_json();
 
     let json = format!(
-        "{{\n  \"schema\": \"mm-bench/v4\",\n  \"generated_unix\": {now_unix},\n  \"date\": \"{y:04}-{m:02}-{d:02}\",\n  \"fault_path\": {{\n    \"pcache_hit_ns_per_iter\": {hit_ns:.1},\n    \"fault_from_scache_ns_per_iter\": {fault_ns:.1},\n    \"fault_from_scache_wide_ns_per_iter\": {wide_ns:.1}\n  }},\n  \"telemetry\": {{\n    \"overhead_pct\": {overhead_pct:.2},\n    \"budget_pct\": 2.0,\n    \"sketch_record_thrash_ns\": {thrash_ns:.1}\n  }},\n  \"stager\": {{\n    \"stage_out_pass_ns\": {pass_ns:.0}\n  }},\n  \"fault_latency\": {{\n    \"tenant\": \"bench\",\n    \"faults\": {faults},\n    \"p50_ns\": {p50},\n    \"p99_ns\": {p99},\n    \"p999_ns\": {p999}\n  }},\n  \"shard_path\": {{\n    \"shard_queue_delay_p99_ns\": {queue_p99},\n    \"owner_fast_hit_rate\": {hit_rate:.4},\n    \"owner_fast_hits\": {hits},\n    \"owner_fast_misses\": {misses},\n    \"batched_crossings\": {crossings}\n  }},\n{ann_json},\n{scale_json}\n}}\n"
+        "{{\n  \"schema\": \"mm-bench/v4\",\n  \"generated_unix\": {now_unix},\n  \"date\": \"{y:04}-{m:02}-{d:02}\",\n  \"fault_path\": {{\n    \"pcache_hit_ns_per_iter\": {hit_ns:.1},\n    \"fault_from_scache_ns_per_iter\": {fault_ns:.1},\n    \"fault_from_scache_wide_ns_per_iter\": {wide_ns:.1}\n  }},\n  \"telemetry\": {{\n    \"overhead_pct\": {overhead_pct:.2},\n    \"budget_pct\": 2.0,\n    \"sketch_record_thrash_ns\": {thrash_ns:.1}\n  }},\n  \"stager\": {{\n    \"stage_out_pass_ns\": {pass_ns:.0}\n  }},\n  \"fault_latency\": {{\n    \"tenant\": \"bench\",\n    \"faults\": {faults},\n    \"p50_ns\": {p50},\n    \"p99_ns\": {p99},\n    \"p999_ns\": {p999}\n  }},\n  \"shard_path\": {{\n    \"shard_queue_delay_p99_ns\": {queue_p99},\n    \"owner_fast_hit_rate\": {hit_rate:.4},\n    \"owner_fast_hits\": {hits},\n    \"owner_fast_misses\": {misses},\n    \"batched_crossings\": {crossings}\n  }},\n{ann_json},\n{scale_json},\n{code_json}\n}}\n"
     );
 
     let path = std::env::var("MM_BENCH_OUT")
@@ -757,4 +778,5 @@ fn main() {
     );
     println!("  ann path: see the ann_path section of {path}");
     println!("  scale path: see the scale_path section of {path}");
+    println!("  code size: see the code_size section of {path}");
 }

@@ -200,16 +200,6 @@ fn main() {
         let share = (w * 1000).checked_div(total_wait).unwrap_or(0);
         writeln!(out, "{name:<22} {a:>10} {w:>14} {:>4}.{}%", share / 10, share % 10).unwrap();
     }
-    let dmsh_wait: u64 =
-        rows.iter().filter(|(n, _, _)| n == "DmshMeta" || n == "DmshStore").map(|r| r.2).sum();
-    let dmsh_share = (dmsh_wait * 1000).checked_div(total_wait).unwrap_or(0);
-    writeln!(
-        out,
-        "dmsh meta+store share: {}.{}% of {total_wait} ns total modeled wait",
-        dmsh_share / 10,
-        dmsh_share % 10
-    )
-    .unwrap();
 
     // -- 3. per-node imbalance -------------------------------------------
     let touches: Vec<u64> = (0..NODES)

@@ -84,10 +84,7 @@ impl From<io::Error> for MmError {
 
 impl From<DmshError> for MmError {
     fn from(e: DmshError) -> Self {
-        match e {
-            DmshError::Internal(m) => MmError::Internal(m),
-            other => MmError::Capacity(other.to_string()),
-        }
+        MmError::Capacity(e.to_string())
     }
 }
 

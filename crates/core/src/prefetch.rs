@@ -50,17 +50,10 @@ pub trait PrefetchEnv {
     fn evict(&mut self, page: u64);
     /// Whether `page` is already resident (or in flight) in the pcache.
     fn resident(&self, page: u64) -> bool;
-    /// Issue an asynchronous pcache fetch for `page` (score-1 pages).
-    fn issue_prefetch(&mut self, page: u64);
-    /// Issue a contiguous run of `count` fetches starting at `first` as one
-    /// batched submission. Environments that can amortize the runtime
-    /// crossing override this (the pcache submits the run as a single
-    /// shard-batch); the default degrades to per-page issues.
-    fn issue_prefetch_run(&mut self, first: u64, count: u64) {
-        for page in first..first + count {
-            self.issue_prefetch(page);
-        }
-    }
+    /// Issue asynchronous pcache fetches for the `count ≥ 1` contiguous
+    /// score-1 pages starting at `first`, as one batched submission (the
+    /// pcache amortizes the runtime crossing over the run).
+    fn issue_prefetch(&mut self, first: u64, count: u64);
 }
 
 /// Run one prefetcher pass (paper Algorithm 1: `Prefetcher`).
@@ -129,7 +122,7 @@ fn prefetch(env: &mut dyn PrefetchEnv, tx: &Transaction, min_score: f64) {
             pending = match pending {
                 Some((first, count)) if first + count == p => Some((first, count + 1)),
                 Some((first, count)) => {
-                    env.issue_prefetch_run(first, count);
+                    env.issue_prefetch(first, count);
                     Some((p, 1))
                 }
                 None => Some((p, 1)),
@@ -138,7 +131,7 @@ fn prefetch(env: &mut dyn PrefetchEnv, tx: &Transaction, min_score: f64) {
         fetched += 1;
     }
     if let Some((first, count)) = pending {
-        env.issue_prefetch_run(first, count);
+        env.issue_prefetch(first, count);
     }
     // Decaying scores for pages that do not fit (see module-level deviation
     // note: BaseTime/EstTime, matching the paper's prose).
@@ -240,14 +233,11 @@ mod tests {
         fn resident(&self, page: u64) -> bool {
             self.resident.contains(&page)
         }
-        fn issue_prefetch(&mut self, page: u64) {
-            self.resident.insert(page);
-            self.prefetched.push(page);
-        }
-        fn issue_prefetch_run(&mut self, first: u64, count: u64) {
+        fn issue_prefetch(&mut self, first: u64, count: u64) {
             self.runs.push((first, count));
             for page in first..first + count {
-                self.issue_prefetch(page);
+                self.resident.insert(page);
+                self.prefetched.push(page);
             }
         }
     }

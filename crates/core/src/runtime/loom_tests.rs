@@ -26,6 +26,7 @@
 
 use std::sync::Arc;
 
+use super::tests::{read_page, read_run, write_diff};
 use super::*;
 use crate::config::RuntimeConfig;
 use megammap_cluster::ClusterSpec;
@@ -46,7 +47,7 @@ fn loom_commit_patch_vs_flush_writeback_keeps_the_patch() {
             rt.open_or_create_vector("obj://loom/flush.bin", 1, Some(4096), Some(4096)).unwrap();
         m.policy.set(Policy::WriteGlobal);
         let ps = m.page_size as usize;
-        rt.write_page_diff(0, &m, 0, &vec![0x11u8; ps], &all_dirty(ps), 0).unwrap();
+        write_diff(&rt, 0, &m, 0, &vec![0x11u8; ps], &all_dirty(ps), 0).unwrap();
 
         let rt1 = rt.clone();
         let m1 = Arc::clone(&m);
@@ -55,7 +56,7 @@ fn loom_commit_patch_vs_flush_writeback_keeps_the_patch() {
             dirty.insert(64, 128);
             let mut data = vec![0u8; 4096];
             data[64..128].fill(0x77);
-            rt1.write_page_diff(1_000, &m1, 0, &data, &dirty, 0).unwrap();
+            write_diff(&rt1, 1_000, &m1, 0, &data, &dirty, 0).unwrap();
         });
         let rt2 = rt.clone();
         let m2 = Arc::clone(&m);
@@ -88,8 +89,7 @@ fn loom_commit_patch_vs_emergency_drain_keeps_the_patch() {
         m.policy.set(Policy::WriteGlobal);
         let ps = m.page_size as usize;
         for page in 0..3u64 {
-            rt.write_page_diff(0, &m, page, &vec![0x10 + page as u8; ps], &all_dirty(ps), 0)
-                .unwrap();
+            write_diff(&rt, 0, &m, page, &vec![0x10 + page as u8; ps], &all_dirty(ps), 0).unwrap();
         }
 
         let rt1 = rt.clone();
@@ -99,15 +99,14 @@ fn loom_commit_patch_vs_emergency_drain_keeps_the_patch() {
             dirty.insert(64, 128);
             let mut data = vec![0u8; 4096];
             data[64..128].fill(0x77);
-            rt1.write_page_diff(1_000, &m1, 0, &data, &dirty, 0).unwrap();
+            write_diff(&rt1, 1_000, &m1, 0, &data, &dirty, 0).unwrap();
         });
         let rt2 = rt.clone();
         let m2 = Arc::clone(&m);
         let presser = loom::thread::spawn(move || {
             for page in 3..5u64 {
                 let ps = m2.page_size as usize;
-                rt2.write_page_diff(1_000, &m2, page, &vec![0x20u8; ps], &all_dirty(ps), 0)
-                    .unwrap();
+                write_diff(&rt2, 1_000, &m2, page, &vec![0x20u8; ps], &all_dirty(ps), 0).unwrap();
             }
         });
         patcher.join().unwrap();
@@ -117,7 +116,7 @@ fn loom_commit_patch_vs_emergency_drain_keeps_the_patch() {
         // backend and staged back in), the patched range must survive.
         // Only the patched bytes are asserted: if the drain evicted the
         // page *before* the patch, the re-installed page has a zero base.
-        let (data, _) = rt.read_page(2_000_000, &m, 0, 0, None, false).unwrap();
+        let (data, _) = read_page(&rt, 2_000_000, &m, 0, 0, None).unwrap();
         assert!(data[64..128].iter().all(|&b| b == 0x77), "patch lost by drain race");
     });
 }
@@ -162,7 +161,7 @@ fn loom_ownership_transfer_vs_batched_fault_sees_untorn_pages() {
         let ps = m.page_size as usize;
         // Node 0 writes both pages: home and owner are node 0.
         for page in 0..2u64 {
-            rt.write_page_diff(0, &m, page, &vec![0xAAu8; ps], &all_dirty(ps), 0).unwrap();
+            write_diff(&rt, 0, &m, page, &vec![0xAAu8; ps], &all_dirty(ps), 0).unwrap();
         }
 
         let rt1 = rt.clone();
@@ -171,12 +170,12 @@ fn loom_ownership_transfer_vs_batched_fault_sees_untorn_pages() {
             // Node 1 rewrites page 0 whole: an ownership transfer racing
             // the batched fault below.
             let ps = m1.page_size as usize;
-            rt1.write_page_diff(1_000, &m1, 0, &vec![0xBBu8; ps], &all_dirty(ps), 1).unwrap();
+            write_diff(&rt1, 1_000, &m1, 0, &vec![0xBBu8; ps], &all_dirty(ps), 1).unwrap();
         });
         let rt2 = rt.clone();
         let m2 = Arc::clone(&m);
         let reader =
-            loom::thread::spawn(move || rt2.read_page_run(1_000, &m2, 0, 2, 0, None).unwrap());
+            loom::thread::spawn(move || read_run(&rt2, 1_000, &m2, 0, 2, 0, None).unwrap());
         let pages = reader.join().unwrap();
         xfer.join().unwrap();
 

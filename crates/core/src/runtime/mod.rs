@@ -156,6 +156,8 @@ pub struct Stats {
     pub staged_in: Counter,
     /// Bytes staged out to backends (`stager.staged_out_bytes`).
     pub staged_out: Counter,
+    /// Bytes appended to intent journals (`stager.journal_bytes`).
+    pub journal_bytes: Counter,
     /// Tasks routed to the low-latency pool (`runtime.tasks_low`).
     pub tasks_low: Counter,
     /// Tasks routed to the high-latency pool (`runtime.tasks_high`).
@@ -219,6 +221,7 @@ impl Stats {
             writes: t.counter("runtime", "writes", &[]),
             staged_in: t.counter("stager", "staged_in_bytes", &[]),
             staged_out: t.counter("stager", "staged_out_bytes", &[]),
+            journal_bytes: t.counter("stager", "journal_bytes", &[]),
             tasks_low: t.counter("runtime", "tasks_low", &[]),
             tasks_high: t.counter("runtime", "tasks_high", &[]),
             invalidations: t.counter("runtime", "invalidations", &[]),
@@ -283,6 +286,45 @@ pub struct StatsSnapshot {
     pub owner_fast_misses: u64,
     /// See [`Stats::batched`].
     pub batched_crossings: u64,
+}
+
+/// What a writer MemoryTask carries to a page's home.
+pub(crate) enum Payload<'a> {
+    /// A fully rewritten page: a refcounted view of the committing
+    /// process's pcache buffer (see [`PageBuf::freeze`]
+    /// (crate::pagebuf::PageBuf::freeze)), so a local install shares one
+    /// allocation between pcache and scache — zero copies.
+    Full(Bytes),
+    /// A page image and the ranges of it that are dirty; only those bytes
+    /// are trusted.
+    Diff(&'a [u8], &'a RangeSet),
+}
+
+impl Payload<'_> {
+    /// Bytes the commit moves.
+    pub(crate) fn covered(&self) -> u64 {
+        match self {
+            Payload::Full(data) => data.len() as u64,
+            Payload::Diff(_, dirty) => dirty.covered(),
+        }
+    }
+
+    /// The page to install when its home holds no copy yet. A diff merges
+    /// only its trusted (dirty) ranges into a zero base, so two processes
+    /// writing disjoint halves of one page never clobber each other with
+    /// stale bytes.
+    fn into_page(self) -> Bytes {
+        match self {
+            Payload::Full(data) => data,
+            Payload::Diff(image, dirty) => {
+                let mut base = vec![0u8; image.len()];
+                for (s, e) in dirty.iter() {
+                    base[s as usize..e as usize].copy_from_slice(&image[s as usize..e as usize]);
+                }
+                Bytes::from(base)
+            }
+        }
+    }
 }
 
 struct RuntimeInner {
@@ -595,28 +637,15 @@ impl Runtime {
         Some(f())
     }
 
-    /// Dispatch a task on its shard's run queue and record queue
-    /// telemetry: the virtual delay between submission and dispatch
-    /// (globally and per shard) plus a TaskDispatch span event (`detail` =
-    /// 0 for the low-latency pool, 1 for high). When a trace context is
-    /// live, the enqueue→dispatch wait also lands as a
-    /// [`Stage::QueueWait`] span in the fault's causal tree.
-    fn dispatch(
-        &self,
-        node: usize,
-        id: BlobId,
-        bytes: u64,
-        submit: SimTime,
-        reserve: u64,
-        ctx: TraceCtx,
-    ) -> SimTime {
-        self.dispatch_batch(node, id, 1, bytes, submit, reserve, ctx)
-    }
-
     /// Dispatch `tasks` coalesced page tasks as ONE shard-batch crossing:
     /// one reservation on the shard's run queue covers the whole batch, so
     /// the per-page dispatch latency is paid once per run. `tasks = 1` is
-    /// the ordinary single-task dispatch.
+    /// the ordinary single-task dispatch. Records queue telemetry: the
+    /// virtual delay between submission and dispatch (globally and per
+    /// shard) plus a TaskDispatch span event (`detail` = 0 for the
+    /// low-latency pool, 1 for high). When a trace context is live, the
+    /// enqueue→dispatch wait also lands as a [`Stage::QueueWait`] span in
+    /// the fault's causal tree.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_batch(
         &self,
@@ -782,81 +811,101 @@ impl Runtime {
         Some((data, done))
     }
 
-    /// Serve a page read for a process on `my_node` at virtual time `now`.
+    /// Serve `count ≥ 1` contiguous page reads starting at `first` for a
+    /// process on `my_node` at virtual time `now` — the one dispatched read
+    /// path; a single-page fault is the `count = 1` run.
     ///
-    /// Returns the full page as a refcounted [`Bytes`] view — the caller
-    /// shares the scache's allocation rather than receiving a copy — plus
-    /// the virtual completion time. If `prefetch` is true the read is
-    /// asynchronous (issued now, completing at the returned time) and
-    /// counted as a prefetch. `collective` holds the group size when the
-    /// transaction carries the Collective hint.
-    #[cfg(test)]
-    pub(crate) fn read_page(
-        &self,
-        now: SimTime,
-        meta: &VectorMeta,
-        page: u64,
-        my_node: usize,
-        collective: Option<usize>,
-        prefetch: bool,
-    ) -> Result<(Bytes, SimTime)> {
-        self.read_page_traced(now, meta, page, my_node, collective, prefetch, TraceCtx::NONE)
-    }
-
-    /// [`read_page`](Self::read_page) with a live causal trace context:
-    /// every stage the fault passes through (queue wait, tier read, net
-    /// hop, backend read) is recorded as a child span of `ctx`.
+    /// Each page is handed to `sink` in page order as a refcounted
+    /// [`Bytes`] view (the caller shares the scache's allocation rather
+    /// than receiving a copy) with its virtual completion time; the latest
+    /// of those is returned. Pages resident on the same holder node and
+    /// fault shard share one task construction and one worker dispatch
+    /// (fault coalescing), so per-task dispatch latency is paid once per
+    /// run. The first page is the synchronous fault; the extras are counted
+    /// as prefetches (they arrive ahead of their access) plus
+    /// `runtime.coalesced_faults`. With `prefetch` set the whole run is an
+    /// asynchronous prefetcher batch — issued now, every page billed as a
+    /// prefetch — that still pays (and counts) the same crossing.
+    /// `collective` holds the group size when the transaction carries the
+    /// Collective hint. Stages land as child spans of `ctx`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn read_page_traced(
+    pub(crate) fn read_pages(
         &self,
         now: SimTime,
         meta: &VectorMeta,
-        page: u64,
+        first: u64,
+        count: u64,
         my_node: usize,
         collective: Option<usize>,
         prefetch: bool,
         ctx: TraceCtx,
-    ) -> Result<(Bytes, SimTime)> {
-        let out = self.read_page_impl(now, meta, page, my_node, collective, prefetch, ctx)?;
-        let kind = if prefetch { EventKind::PrefetchIssue } else { EventKind::PageFault };
-        self.inner.telemetry.span(kind, now, out.1, my_node as u32, out.0.len() as u64, page);
-        Ok(out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn read_page_impl(
-        &self,
-        now: SimTime,
-        meta: &VectorMeta,
-        page: u64,
-        my_node: usize,
-        collective: Option<usize>,
-        prefetch: bool,
-        ctx: TraceCtx,
-    ) -> Result<(Bytes, SimTime)> {
+        mut sink: impl FnMut(Bytes, SimTime),
+    ) -> Result<SimTime> {
+        debug_assert!(count >= 1);
         self.poll_chaos(now);
         let s = &self.inner.stats;
         if prefetch {
-            s.prefetches.inc();
+            s.prefetches.add(count);
         } else {
             s.faults.inc();
             s.faults_by_policy[meta.policy.get().index()].inc();
-            // Reaching here means the ownership fast path did not apply
-            // (or was not attempted, e.g. a coalesced run): this fault
-            // pays a runtime crossing.
+            // Reaching here means the ownership fast path did not apply (or
+            // was not attempted — batching a run is worth more than one
+            // owner-local read): this fault pays a runtime crossing.
             s.owner_misses.inc();
+            s.prefetches.add(count - 1);
         }
-        self.inner.telemetry.hot_pages().record(meta.id, page, 1);
-        let id = BlobId::new(meta.id, page);
+        if count > 1 {
+            s.coalesced.add(count - 1);
+            s.batched.inc();
+        }
+        // One sketch touch per run (weight = pages): a coalesced scan is
+        // one access pattern, not `count` independent hot-page candidates.
+        self.inner.telemetry.hot_pages().record(meta.id, first, count);
         let t = now + TASK_CONSTRUCT_NS;
-        if let Some(node) = self.inner.dir.nearest_copy(id, my_node) {
-            match self.read_from_node(t, meta, id, node, my_node, collective, ctx) {
-                Ok(r) => return Ok(r),
-                Err(MmError::Capacity(_)) => { /* raced with removal; fall through */ }
-                Err(e) => return Err(e),
+        let mut done = t;
+        let mut emit = |data: Bytes, ready: SimTime| {
+            done = done.max(ready);
+            sink(data, ready);
+        };
+        let mut i = 0u64;
+        while i < count {
+            let page = first + i;
+            let id = BlobId::new(meta.id, page);
+            let Some(node) = self.inner.dir.nearest_copy(id, my_node) else {
+                let (data, ready) = self.fault_absent(t, meta, page, my_node, collective, ctx)?;
+                emit(data, ready);
+                i += 1;
+                continue;
+            };
+            // Extend the run while the following pages share the holder
+            // *and* the fault shard: a batch is one crossing into one
+            // shard's run queue, so it may not straddle shards. The shard
+            // hash groups 8-page-aligned neighbourhoods (see
+            // [`directory::shard_of`]), so coalesced runs rarely split.
+            let sh = shard::shard_of(id);
+            let mut n = 1u64;
+            while i + n < count {
+                let next = BlobId::new(meta.id, first + i + n);
+                if shard::shard_of(next) != sh
+                    || self.inner.dir.nearest_copy(next, my_node) != Some(node)
+                {
+                    break;
+                }
+                n += 1;
             }
+            self.read_run_from_node(t, meta, page, n, node, my_node, collective, ctx, &mut emit)?;
+            i += n;
         }
-        self.fault_absent(t, meta, page, my_node, collective, ctx)
+        let tel = &self.inner.telemetry;
+        let bytes = meta.page_size * count;
+        if count > 1 {
+            // One batched crossing served the whole run (detail = pages).
+            tel.trace_child(ctx, Stage::ShardBatch, now, done, my_node as u32, bytes, "", count);
+        }
+        let kind = if prefetch { EventKind::PrefetchIssue } else { EventKind::PageFault };
+        tel.span(kind, now, done, my_node as u32, bytes, first);
+        Ok(done)
     }
 
     /// Serve a page that is resident nowhere: stage in from the backend or
@@ -877,198 +926,20 @@ impl Runtime {
         self.inner.dir.home_or_insert(id, home);
         self.inner.nodes[home].touches.inc();
         if home != my_node {
-            let done = self.finish_remote(
-                ready,
-                meta,
-                id,
-                home,
-                my_node,
-                data.len() as u64,
-                collective,
-                ctx,
-            );
+            let done = self.finish_remote(ready, home, my_node, data.len() as u64, collective, ctx);
             return Ok((data, done));
         }
         self.inner.stats.local_reads.inc();
         Ok((data, ready))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn read_from_node(
-        &self,
-        t: SimTime,
-        meta: &VectorMeta,
-        id: BlobId,
-        node: usize,
-        my_node: usize,
-        collective: Option<usize>,
-        ctx: TraceCtx,
-    ) -> Result<(Bytes, SimTime)> {
-        let bytes_hint = meta.page_size;
-        self.inner.nodes[node].touches.inc();
-        let ws = self.dispatch(node, id, bytes_hint, t, 0, ctx);
-        let (data, dev_done) =
-            self.inner.nodes[node].dmsh.get_traced(ws, id, ctx).map_err(|e| match e {
-                DmshError::NotFound(_) => MmError::Capacity("page vanished".into()),
-                other => MmError::from(other),
-            })?;
-        if node == my_node {
-            self.inner.stats.local_reads.inc();
-            return Ok((data, dev_done));
-        }
-        let done = self.finish_remote(
-            dev_done,
-            meta,
-            id,
-            node,
-            my_node,
-            data.len() as u64,
-            collective,
-            ctx,
-        );
-        // Replicate locally under the Read-Only Global policy so future
-        // reads are node-local. The replica shares the same storage as the
-        // caller's view (an O(1) refcount bump, not a copy).
-        if meta.policy.get().replicates()
-            && self.inner.nodes[my_node]
-                .dmsh
-                .put(done, id, data.clone(), 0.8, my_node, false)
-                .is_ok()
-        {
-            // Register the replica only if the local install succeeded; a
-            // full DMSH just means the next read stays remote.
-            self.inner.dir.add_replica(id, my_node);
-        }
-        Ok((data, done))
-    }
-
-    /// Serve `count` contiguous page reads starting at `first` as ranged
-    /// MemoryTasks (fault coalescing): pages resident on the same holder
-    /// node share one task construction + one worker dispatch and come back
-    /// as zero-copy [`Bytes`] views, so per-task dispatch latency is paid
-    /// once per run instead of once per page. The first page is the
-    /// synchronous fault; the extras are counted as prefetches (they arrive
-    /// ahead of their access) plus `runtime.coalesced_faults`.
-    #[cfg(test)]
-    #[allow(dead_code)]
-    pub(crate) fn read_page_run(
-        &self,
-        now: SimTime,
-        meta: &VectorMeta,
-        first: u64,
-        count: u64,
-        my_node: usize,
-        collective: Option<usize>,
-    ) -> Result<Vec<(Bytes, SimTime)>> {
-        self.read_page_run_traced(
-            now,
-            meta,
-            first,
-            count,
-            my_node,
-            collective,
-            false,
-            TraceCtx::NONE,
-        )
-    }
-
-    /// [`read_page_run`](Self::read_page_run) with a live causal trace
-    /// context; each same-holder slice of the run lands as a
-    /// [`Stage::CoalesceRun`] child span. With `prefetch` set the whole run
-    /// is an asynchronous prefetcher batch — every page bills as a
-    /// prefetch, none as a synchronous fault — but it still pays (and
-    /// counts) the same single batched crossing.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn read_page_run_traced(
-        &self,
-        now: SimTime,
-        meta: &VectorMeta,
-        first: u64,
-        count: u64,
-        my_node: usize,
-        collective: Option<usize>,
-        prefetch: bool,
-        ctx: TraceCtx,
-    ) -> Result<Vec<(Bytes, SimTime)>> {
-        debug_assert!(count >= 1);
-        self.poll_chaos(now);
-        let s = &self.inner.stats;
-        if prefetch {
-            s.prefetches.add(count);
-        } else {
-            s.faults.inc();
-            s.faults_by_policy[meta.policy.get().index()].inc();
-            // A coalesced run is dispatched, not owner-served: its
-            // synchronous first fault counts as a fast-path miss.
-            s.owner_misses.inc();
-            if count > 1 {
-                s.prefetches.add(count - 1);
-            }
-        }
-        if count > 1 {
-            s.coalesced.add(count - 1);
-            s.batched.inc();
-        }
-        // One sketch touch per run (weight = pages): a coalesced scan is
-        // one access pattern, not `count` independent hot-page candidates.
-        self.inner.telemetry.hot_pages().record(meta.id, first, count);
-        let t = now + TASK_CONSTRUCT_NS;
-        let mut out: Vec<(Bytes, SimTime)> = Vec::with_capacity(count as usize);
-        let mut i = 0u64;
-        while i < count {
-            let page = first + i;
-            let id = BlobId::new(meta.id, page);
-            let Some(node) = self.inner.dir.nearest_copy(id, my_node) else {
-                out.push(self.fault_absent(t, meta, page, my_node, collective, ctx)?);
-                i += 1;
-                continue;
-            };
-            // Extend the run while the following pages share the holder
-            // *and* the fault shard: a batch is one crossing into one
-            // shard's run queue, so it may not straddle shards. The shard
-            // hash groups 8-page-aligned neighbourhoods (see
-            // [`directory::shard_of`]), so coalesced runs rarely split.
-            let sh = shard::shard_of(id);
-            let mut n = 1u64;
-            while i + n < count {
-                let next = BlobId::new(meta.id, first + i + n);
-                if shard::shard_of(next) != sh
-                    || self.inner.dir.nearest_copy(next, my_node) != Some(node)
-                {
-                    break;
-                }
-                n += 1;
-            }
-            let mut part =
-                self.read_run_from_node(t, meta, first + i, n, node, my_node, collective, ctx)?;
-            i += part.len() as u64;
-            out.append(&mut part);
-        }
-        let done = out.iter().map(|x| x.1).max().unwrap_or(t);
-        if count > 1 {
-            // One batched crossing served the whole run (detail = pages).
-            self.inner.telemetry.trace_child(
-                ctx,
-                Stage::ShardBatch,
-                now,
-                done,
-                my_node as u32,
-                meta.page_size * count,
-                "",
-                count,
-            );
-        }
-        let kind = if prefetch { EventKind::PrefetchIssue } else { EventKind::PageFault };
-        self.inner.telemetry.span(kind, now, done, my_node as u32, meta.page_size * count, first);
-        Ok(out)
-    }
-
-    /// One ranged MemoryTask: `n` contiguous same-shard pages believed
-    /// resident on `node`. Pays one batched run-queue crossing for the
-    /// whole run; device charges chain per page on the holder's timeline
-    /// and remote runs pay the network per page (the data still moves). A
+    /// One ranged MemoryTask: `n ≥ 1` contiguous same-shard pages believed
+    /// resident on `node`, each handed to `emit`. Pays one run-queue
+    /// crossing for the whole run; device charges chain per page on the
+    /// holder's timeline and remote runs pay the network per page (the data
+    /// still moves). Every page served counts one touch on its holder. A
     /// page that vanished between the directory lookup and the read falls
-    /// back to the backend.
+    /// back to the backend at the post-dispatch time.
     #[allow(clippy::too_many_arguments)]
     fn read_run_from_node(
         &self,
@@ -1080,10 +951,11 @@ impl Runtime {
         my_node: usize,
         collective: Option<usize>,
         ctx: TraceCtx,
-    ) -> Result<Vec<(Bytes, SimTime)>> {
+        emit: &mut impl FnMut(Bytes, SimTime),
+    ) -> Result<()> {
         let bytes_hint = meta.page_size * n;
         let ws = self.dispatch_batch(node, BlobId::new(meta.id, first), n, bytes_hint, t, 0, ctx);
-        // Each same-holder slice is one ranged MemoryTask: hang its pages'
+        // A multi-page slice is one ranged MemoryTask: hang its pages'
         // tier/net spans under a CoalesceRun child (`detail` = run length).
         let run_ctx = if n > 1 {
             self.inner.telemetry.trace_child(
@@ -1100,64 +972,53 @@ impl Runtime {
             ctx
         };
         let replicate = meta.policy.get().replicates();
-        let mut out = Vec::with_capacity(n as usize);
+        let holder = &self.inner.nodes[node];
         let mut dev = ws;
-        for k in 0..n {
-            let id = BlobId::new(meta.id, first + k);
-            match self.inner.nodes[node].dmsh.get_traced(dev, id, run_ctx) {
-                Ok((data, dev_done)) => {
-                    dev = dev_done;
-                    let done = if node == my_node {
-                        self.inner.stats.local_reads.inc();
-                        dev_done
-                    } else {
-                        let done = self.finish_remote(
-                            dev_done,
-                            meta,
-                            id,
-                            node,
-                            my_node,
-                            data.len() as u64,
-                            collective,
-                            run_ctx,
-                        );
-                        if replicate
-                            && self.inner.nodes[my_node]
-                                .dmsh
-                                .put(done, id, data.clone(), 0.8, my_node, false)
-                                .is_ok()
-                        {
-                            self.inner.dir.add_replica(id, my_node);
-                        }
-                        done
-                    };
-                    out.push((data, done));
-                }
+        for page in first..first + n {
+            let id = BlobId::new(meta.id, page);
+            let (data, dev_done) = match holder.dmsh.get_range(dev, id, 0, u64::MAX, run_ctx) {
+                Ok(read) => read,
                 Err(DmshError::NotFound(_)) => {
                     // Vanished mid-run: re-serve this page from the backend.
-                    out.push(self.fault_absent(
-                        dev,
-                        meta,
-                        first + k,
-                        my_node,
-                        collective,
-                        run_ctx,
-                    )?);
+                    let (data, ready) =
+                        self.fault_absent(dev, meta, page, my_node, collective, run_ctx)?;
+                    emit(data, ready);
+                    continue;
                 }
                 Err(e) => return Err(e.into()),
+            };
+            dev = dev_done;
+            holder.touches.inc();
+            if node == my_node {
+                self.inner.stats.local_reads.inc();
+                emit(data, dev_done);
+                continue;
             }
+            let len = data.len() as u64;
+            let done = self.finish_remote(dev_done, node, my_node, len, collective, run_ctx);
+            // Replicate locally under the Read-Only Global policy so future
+            // reads are node-local. The replica shares the same storage as
+            // the caller's view (an O(1) refcount bump, not a copy).
+            if replicate
+                && self.inner.nodes[my_node]
+                    .dmsh
+                    .put(done, id, data.clone(), 0.8, my_node, false)
+                    .is_ok()
+            {
+                // Register the replica only if the local install succeeded;
+                // a full DMSH just means the next read stays remote.
+                self.inner.dir.add_replica(id, my_node);
+            }
+            emit(data, done);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Network completion for a remote read; collective reads use a
     /// tree-shaped distribution instead of per-process unicast.
-    #[allow(clippy::too_many_arguments)]
     fn finish_remote(
         &self,
         dev_done: SimTime,
-        _meta: &VectorMeta,
-        _id: BlobId,
         src: usize,
         dst: usize,
         len: u64,
@@ -1184,37 +1045,22 @@ impl Runtime {
 
     // ---- write path -------------------------------------------------------
 
-    /// Execute a writer MemoryTask: apply the `dirty` ranges of `data` (a
-    /// full page image) to the page's canonical copy. Asynchronous: the
-    /// caller has already paid the memcpy; the returned time is when the
-    /// update is applied and visible.
-    #[cfg(test)]
-    pub(crate) fn write_page_diff(
+    /// Execute a writer MemoryTask — the one commit path: make `payload`
+    /// the contents of the page's canonical copy at its home. Asynchronous:
+    /// the caller has already paid any memcpy; the returned time is when
+    /// the update is applied and visible. Queue wait, net hop, journal and
+    /// apply land as child spans of `ctx`.
+    pub(crate) fn commit_page(
         &self,
         submit: SimTime,
         meta: &VectorMeta,
         page: u64,
-        data: &[u8],
-        dirty: &RangeSet,
-        my_node: usize,
-    ) -> Result<SimTime> {
-        self.write_page_diff_traced(submit, meta, page, data, dirty, my_node, TraceCtx::NONE)
-    }
-
-    /// [`write_page_diff`](Self::write_page_diff) with a live causal trace
-    /// context (queue wait / net hop / commit-apply children).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn write_page_diff_traced(
-        &self,
-        submit: SimTime,
-        meta: &VectorMeta,
-        page: u64,
-        data: &[u8],
-        dirty: &RangeSet,
+        payload: Payload<'_>,
         my_node: usize,
         ctx: TraceCtx,
     ) -> Result<SimTime> {
-        if dirty.is_empty() {
+        let bytes = payload.covered();
+        if bytes == 0 {
             return Ok(submit);
         }
         self.poll_chaos(submit);
@@ -1244,128 +1090,9 @@ impl Runtime {
         let fast = claim.retained && home == my_node;
         self.inner.nodes[home].touches.inc();
         self.inner.telemetry.hot_pages().record(meta.id, page, 1);
-        let bytes = dirty.covered();
         let mut t = submit;
         if !fast {
-            t = self.dispatch(home, id, bytes, submit, bytes, ctx);
-            if home != my_node {
-                let net_done = self.inner.net.transfer(submit, my_node, home, bytes);
-                self.inner.telemetry.trace_child(
-                    ctx,
-                    Stage::NetHop,
-                    submit,
-                    net_done,
-                    home as u32,
-                    bytes,
-                    "",
-                    my_node as u64,
-                );
-                t = t.max(net_done);
-            }
-        }
-        let dmsh = &self.inner.nodes[home].dmsh;
-        let mut done = t;
-        {
-            // Serialize install-or-patch per page so concurrent first
-            // writers of one page never clobber each other's ranges. The
-            // guard must drop before the stager hooks below: stage_out_all
-            // takes apply locks itself.
-            let sh = self.shard_rt(home, id);
-            let _guard = sh.apply_lock.lock();
-            self.inner.apply_stats.acquire_untimed();
-            let _lo = lockorder::acquired(LockRank::ApplyShard);
-            let _hold = shard::ApplyHold::register(home, shard::shard_of(id));
-            self.journal_write(meta, page, data, Some(dirty), t, home, ctx)?;
-            if dmsh.contains(id) {
-                for (s, e) in dirty.iter() {
-                    done = done.max(self.put_range_with_drain(
-                        home,
-                        t,
-                        id,
-                        s,
-                        &data[s as usize..e as usize],
-                        ctx,
-                    )?);
-                }
-            } else {
-                // First materialization of the page at its home: install a
-                // zero base, then apply only the trusted (dirty) ranges, so
-                // two processes writing disjoint halves of one page never
-                // clobber each other with stale bytes.
-                let mut base = vec![0u8; data.len()];
-                for (s, e) in dirty.iter() {
-                    base[s as usize..e as usize].copy_from_slice(&data[s as usize..e as usize]);
-                }
-                done =
-                    self.put_with_drain(home, t, id, Bytes::from(base), 1.0, my_node, true, ctx)?;
-            }
-        }
-        let stage = if fast { Stage::OwnerFast } else { Stage::CommitApply };
-        let detail = if fast { claim.epoch } else { page };
-        self.inner.telemetry.trace_child(ctx, stage, t, done, home as u32, bytes, "", detail);
-        self.maybe_organize(home, done);
-        self.maybe_stage(meta, done);
-        Ok(done)
-    }
-
-    /// Execute a writer MemoryTask for a *fully rewritten* page: install
-    /// `data` as the page's canonical copy. `data` is a refcounted view of
-    /// the committing process's pcache buffer (see [`PageBuf::freeze`]
-    /// (crate::pagebuf::PageBuf::freeze)), so a local install shares one
-    /// allocation between pcache and scache — zero copies.
-    #[cfg(test)]
-    #[allow(dead_code)]
-    pub(crate) fn write_page_full(
-        &self,
-        submit: SimTime,
-        meta: &VectorMeta,
-        page: u64,
-        data: Bytes,
-        my_node: usize,
-    ) -> Result<SimTime> {
-        self.write_page_full_traced(submit, meta, page, data, my_node, TraceCtx::NONE)
-    }
-
-    /// [`write_page_full`](Self::write_page_full) with a live causal trace
-    /// context (queue wait / net hop / commit-apply children).
-    pub(crate) fn write_page_full_traced(
-        &self,
-        submit: SimTime,
-        meta: &VectorMeta,
-        page: u64,
-        data: Bytes,
-        my_node: usize,
-        ctx: TraceCtx,
-    ) -> Result<SimTime> {
-        if data.is_empty() {
-            return Ok(submit);
-        }
-        self.poll_chaos(submit);
-        self.inner.stats.writes.inc();
-        let id = BlobId::new(meta.id, page);
-        let policy = meta.policy.get();
-        self.inner.stats.writes_by_policy[policy.index()].inc();
-        let preferred = if policy == Policy::Local {
-            my_node
-        } else {
-            self.default_home(meta.id, page, submit)
-        };
-        let claim = shard::claim_for_write(
-            &self.inner.dir,
-            &self.inner.stats,
-            id,
-            my_node,
-            preferred,
-            submit,
-        );
-        let home = claim.home;
-        let fast = claim.retained && home == my_node;
-        self.inner.nodes[home].touches.inc();
-        self.inner.telemetry.hot_pages().record(meta.id, page, 1);
-        let bytes = data.len() as u64;
-        let mut t = submit;
-        if !fast {
-            t = self.dispatch(home, id, bytes, submit, bytes, ctx);
+            t = self.dispatch_batch(home, id, 1, bytes, submit, bytes, ctx);
             if home != my_node {
                 let net_done = self.inner.net.transfer(submit, my_node, home, bytes);
                 self.inner.telemetry.trace_child(
@@ -1382,13 +1109,30 @@ impl Runtime {
             }
         }
         let done = {
+            // Serialize install-or-patch per page so concurrent first
+            // writers of one page never clobber each other's ranges. The
+            // guard must drop before the stager hooks below: stage_out_all
+            // takes apply locks itself.
             let sh = self.shard_rt(home, id);
             let _guard = sh.apply_lock.lock();
             self.inner.apply_stats.acquire_untimed();
             let _lo = lockorder::acquired(LockRank::ApplyShard);
             let _hold = shard::ApplyHold::register(home, shard::shard_of(id));
-            self.journal_write(meta, page, &data, None, t, home, ctx)?;
-            self.put_with_drain(home, t, id, data, 1.0, my_node, true, ctx)?
+            self.journal_write(meta, page, &payload, t, home, ctx)?;
+            let patched = match &payload {
+                Payload::Full(_) => None,
+                Payload::Diff(image, dirty) => {
+                    match self.inner.nodes[home].dmsh.put_ranges(t, id, image, dirty, ctx) {
+                        Ok(done) => Some(done),
+                        Err(DmshError::NotFound(_)) => None,
+                        Err(e) => return Err(e.into()),
+                    }
+                }
+            };
+            match patched {
+                Some(done) => done,
+                None => self.put_with_drain(home, t, id, payload.into_page(), my_node, ctx)?,
+            }
         };
         let stage = if fast { Stage::OwnerFast } else { Stage::CommitApply };
         let detail = if fast { claim.epoch } else { page };
@@ -1398,18 +1142,16 @@ impl Runtime {
         Ok(done)
     }
 
-    /// Log an acknowledged write's byte ranges in the vector's intent
-    /// journal — write-ahead with respect to the crash horizon: the
-    /// intent is durable before the write is acknowledged to the
-    /// committer, so a later node crash replays to exact contents.
-    /// `dirty = None` journals the whole (logical-length-clipped) page.
-    #[allow(clippy::too_many_arguments)]
+    /// Log an acknowledged write's bytes in the vector's intent journal —
+    /// write-ahead with respect to the crash horizon: the intent is durable
+    /// before the write is acknowledged to the committer, so a later node
+    /// crash replays to exact contents. Everything is clipped to the
+    /// vector's logical length.
     fn journal_write(
         &self,
         meta: &VectorMeta,
         page: u64,
-        data: &[u8],
-        dirty: Option<&RangeSet>,
+        payload: &Payload<'_>,
         t: SimTime,
         home: usize,
         ctx: TraceCtx,
@@ -1418,30 +1160,26 @@ impl Runtime {
         let base = page * meta.page_size;
         let logical = meta.len_bytes();
         let mut bytes = 0u64;
-        match dirty {
-            Some(ranges) => {
-                for (s, e) in ranges.iter() {
-                    let off = base + s;
-                    if off >= logical {
-                        continue;
-                    }
-                    let end = (base + e).min(logical);
-                    j.append(off, &data[s as usize..(end - base) as usize])?;
-                    bytes += end - off;
-                }
+        let mut log = |image: &[u8], s: u64, e: u64| -> Result<()> {
+            let (off, end) = (base + s, (base + e).min(logical));
+            if off < end {
+                j.append(off, &image[s as usize..(end - base) as usize])?;
+                bytes += end - off;
             }
-            None => {
-                if base < logical {
-                    let len = (data.len() as u64).min(logical - base) as usize;
-                    j.append(base, &data[..len])?;
-                    bytes += len as u64;
+            Ok(())
+        };
+        match payload {
+            Payload::Full(data) => log(data, 0, data.len() as u64)?,
+            Payload::Diff(image, dirty) => {
+                for (s, e) in dirty.iter() {
+                    log(image, s, e)?;
                 }
             }
         }
         if bytes > 0 {
             let tel = &self.inner.telemetry;
             tel.trace_child(ctx, Stage::JournalWrite, t, t, home as u32, bytes, "wal", page);
-            tel.counter("stager", "journal_bytes", &[]).add(bytes);
+            self.inner.stats.journal_bytes.add(bytes);
         }
         Ok(())
     }
@@ -1475,23 +1213,21 @@ impl Runtime {
         }
     }
 
-    /// `Dmsh::put` with emergency stage-out when every tier is full.
-    #[allow(clippy::too_many_arguments)]
+    /// Install a committed page (`Dmsh::put`, hot and dirty), with emergency
+    /// stage-out when every tier is full.
     fn put_with_drain(
         &self,
         node: usize,
         t: SimTime,
         id: BlobId,
         data: Bytes,
-        score: f32,
         score_node: usize,
-        dirty: bool,
         ctx: TraceCtx,
     ) -> Result<SimTime> {
         let dmsh = &self.inner.nodes[node].dmsh;
         let mut t = t;
         for _ in 0..64 {
-            match dmsh.put_traced(t, id, data.clone(), score, score_node, dirty, ctx) {
+            match dmsh.put_traced(t, id, data.clone(), 1.0, score_node, true, ctx) {
                 Ok(out) => return Ok(out.done_at),
                 Err(DmshError::Full { requested }) => {
                     t = stager::emergency_drain(self, t, node, requested)?;
@@ -1500,19 +1236,6 @@ impl Runtime {
             }
         }
         Err(MmError::Capacity("DMSH full and nothing drainable".into()))
-    }
-
-    fn put_range_with_drain(
-        &self,
-        node: usize,
-        t: SimTime,
-        id: BlobId,
-        off: u64,
-        patch: &[u8],
-        ctx: TraceCtx,
-    ) -> Result<SimTime> {
-        let dmsh = &self.inner.nodes[node].dmsh;
-        Ok(dmsh.put_range_traced(t, id, off, patch, ctx)?)
     }
 
     // ---- scoring / organization -------------------------------------------
@@ -1665,6 +1388,50 @@ mod tests {
         (cluster, rt)
     }
 
+    /// One untraced synchronous fault: the `count = 1` run.
+    pub(crate) fn read_page(
+        rt: &Runtime,
+        now: SimTime,
+        meta: &VectorMeta,
+        page: u64,
+        my_node: usize,
+        collective: Option<usize>,
+    ) -> Result<(Bytes, SimTime)> {
+        Ok(read_run(rt, now, meta, page, 1, my_node, collective)?.remove(0))
+    }
+
+    /// An untraced synchronous ranged fault, pages collected in order.
+    pub(crate) fn read_run(
+        rt: &Runtime,
+        now: SimTime,
+        meta: &VectorMeta,
+        first: u64,
+        count: u64,
+        my_node: usize,
+        collective: Option<usize>,
+    ) -> Result<Vec<(Bytes, SimTime)>> {
+        let mut pages = Vec::new();
+        let ctx = TraceCtx::NONE;
+        rt.read_pages(now, meta, first, count, my_node, collective, false, ctx, |data, ready| {
+            pages.push((data, ready))
+        })?;
+        assert_eq!(pages.len() as u64, count, "one page per page asked for");
+        Ok(pages)
+    }
+
+    /// An untraced diff commit of `dirty` out of the page image `data`.
+    pub(crate) fn write_diff(
+        rt: &Runtime,
+        submit: SimTime,
+        meta: &VectorMeta,
+        page: u64,
+        data: &[u8],
+        dirty: &RangeSet,
+        my_node: usize,
+    ) -> Result<SimTime> {
+        rt.commit_page(submit, meta, page, Payload::Diff(data, dirty), my_node, TraceCtx::NONE)
+    }
+
     #[test]
     fn vector_registry_idempotent() {
         let (_c, rt) = runtime(2);
@@ -1697,9 +1464,9 @@ mod tests {
         data[100..200].copy_from_slice(&[7u8; 100]);
         let mut dirty = RangeSet::new();
         dirty.insert(100, 200);
-        let t = rt.write_page_diff(0, &m, 0, &data, &dirty, 0).unwrap();
+        let t = write_diff(&rt, 0, &m, 0, &data, &dirty, 0).unwrap();
         assert!(t > 0);
-        let (read, rt_done) = rt.read_page(t, &m, 0, 0, None, false).unwrap();
+        let (read, rt_done) = read_page(&rt, t, &m, 0, 0, None).unwrap();
         assert!(rt_done >= t);
         assert_eq!(&read[100..200], &[7u8; 100]);
         assert_eq!(&read[0..100], &[0u8; 100]);
@@ -1721,9 +1488,9 @@ mod tests {
         d1[ps / 2..].fill(0xBB);
         let mut r1 = RangeSet::new();
         r1.insert(ps as u64 / 2, ps as u64);
-        let t0 = rt.write_page_diff(0, &m, 0, &d0, &r0, 0).unwrap();
-        let t1 = rt.write_page_diff(0, &m, 0, &d1, &r1, 1).unwrap();
-        let (read, _) = rt.read_page(t0.max(t1), &m, 0, 0, None, false).unwrap();
+        let t0 = write_diff(&rt, 0, &m, 0, &d0, &r0, 0).unwrap();
+        let t1 = write_diff(&rt, 0, &m, 0, &d1, &r1, 1).unwrap();
+        let (read, _) = read_page(&rt, t0.max(t1), &m, 0, 0, None).unwrap();
         assert!(read[..ps / 2].iter().all(|&b| b == 0xAA));
         assert!(read[ps / 2..].iter().all(|&b| b == 0xBB));
     }
@@ -1732,7 +1499,7 @@ mod tests {
     fn fresh_page_reads_zero() {
         let (_c, rt) = runtime(1);
         let m = rt.open_or_create_vector("mem://zeros", 8, None, Some(1024)).unwrap();
-        let (data, _) = rt.read_page(0, &m, 0, 0, None, false).unwrap();
+        let (data, _) = read_page(&rt, 0, &m, 0, 0, None).unwrap();
         assert!(data.iter().all(|&b| b == 0));
         assert_eq!(data.len(), m.page_size as usize);
     }
@@ -1746,9 +1513,9 @@ mod tests {
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
         // Node 0 writes the page (home = node 0 under Local policy).
-        let t = rt.write_page_diff(0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
-        let (_, local_done) = rt.read_page(t, &m, 0, 0, None, false).unwrap();
-        let (_, remote_done) = rt.read_page(t, &m, 0, 1, None, false).unwrap();
+        let t = write_diff(&rt, 0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
+        let (_, local_done) = read_page(&rt, t, &m, 0, 0, None).unwrap();
+        let (_, remote_done) = read_page(&rt, t, &m, 0, 1, None).unwrap();
         assert!(remote_done > local_done, "remote {remote_done} vs local {local_done}");
         let s = rt.stats();
         assert_eq!(s.remote_reads, 1);
@@ -1763,15 +1530,15 @@ mod tests {
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
-        let t = rt.write_page_diff(0, &m, 0, &vec![5u8; ps], &dirty, 0).unwrap();
+        let t = write_diff(&rt, 0, &m, 0, &vec![5u8; ps], &dirty, 0).unwrap();
         m.policy.set(Policy::ReadOnlyGlobal);
         // First remote read replicates onto node 1.
-        rt.read_page(t, &m, 0, 1, None, false).unwrap();
+        read_page(&rt, t, &m, 0, 1, None).unwrap();
         let id = BlobId::new(m.id, 0);
         assert!(rt.inner.nodes[1].dmsh.contains(id), "replica created on node 1");
         // Second read from node 1 is local.
         let before = rt.stats().remote_reads;
-        rt.read_page(t + 1_000_000, &m, 0, 1, None, false).unwrap();
+        read_page(&rt, t + 1_000_000, &m, 0, 1, None).unwrap();
         assert_eq!(rt.stats().remote_reads, before, "served by local replica");
         // Phase change wipes the replica.
         rt.invalidate_replicas(&m);
@@ -1787,9 +1554,9 @@ mod tests {
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
-        let t = rt.write_page_diff(0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
-        let (_, coll) = rt.read_page(t, &m, 0, 1, Some(4), false).unwrap();
-        let (_, uni) = rt.read_page(t, &m, 0, 2, None, false).unwrap();
+        let t = write_diff(&rt, 0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
+        let (_, coll) = read_page(&rt, t, &m, 0, 1, Some(4)).unwrap();
+        let (_, uni) = read_page(&rt, t, &m, 0, 2, None).unwrap();
         // Both are remote; the collective one pays log2(4)=2 message times
         // without NIC serialization, so for one reader it is comparable,
         // but it must not reserve the NIC (no queueing impact).
@@ -1808,10 +1575,10 @@ mod tests {
         let ps = m.page_size as usize;
         let mut small = RangeSet::new();
         small.insert(0, 100);
-        rt.write_page_diff(0, &m, 0, &vec![0u8; ps], &small, 0).unwrap();
+        write_diff(&rt, 0, &m, 0, &vec![0u8; ps], &small, 0).unwrap();
         let mut big = RangeSet::new();
         big.insert(0, 20_000.min(ps as u64));
-        rt.write_page_diff(0, &m, 1, &vec![0u8; ps], &big, 0).unwrap();
+        write_diff(&rt, 0, &m, 1, &vec![0u8; ps], &big, 0).unwrap();
         let s = rt.stats();
         assert!(s.tasks_low >= 1);
         assert!(s.tasks_high >= 1);
@@ -1826,13 +1593,13 @@ mod tests {
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
         // First write: establishes ownership, pays the dispatch (a miss).
-        let t0 = rt.write_page_diff(0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
+        let t0 = write_diff(&rt, 0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
         let s0 = rt.stats();
         assert_eq!(s0.owner_fast_hits, 0);
         assert_eq!(s0.owner_fast_misses, 1);
         let tasks0 = s0.tasks_low + s0.tasks_high;
         // Second write by the same rank: retained ownership, no crossing.
-        let t1 = rt.write_page_diff(t0, &m, 0, &vec![2u8; ps], &dirty, 0).unwrap();
+        let t1 = write_diff(&rt, t0, &m, 0, &vec![2u8; ps], &dirty, 0).unwrap();
         let s1 = rt.stats();
         assert_eq!(s1.owner_fast_hits, 1);
         assert_eq!(s1.owner_fast_misses, 1);
@@ -1854,16 +1621,16 @@ mod tests {
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
         // Rank 0 writes twice: second is fast.
-        let t0 = rt.write_page_diff(0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
-        let t1 = rt.write_page_diff(t0, &m, 0, &vec![2u8; ps], &dirty, 0).unwrap();
+        let t0 = write_diff(&rt, 0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
+        let t1 = write_diff(&rt, t0, &m, 0, &vec![2u8; ps], &dirty, 0).unwrap();
         assert_eq!(rt.stats().owner_fast_hits, 1);
         // Rank 1 writes: ownership transfer — must dispatch, not fast.
-        let t2 = rt.write_page_diff(t1, &m, 0, &vec![3u8; ps], &dirty, 1).unwrap();
+        let t2 = write_diff(&rt, t1, &m, 0, &vec![3u8; ps], &dirty, 1).unwrap();
         assert_eq!(rt.stats().owner_fast_hits, 1, "transfer is never fast");
         // Rank 0 no longer owns the page: its fast read must miss.
         assert!(rt.read_page_fast(t2, &m, 0, 0).is_none());
         // Contents reflect the last writer regardless of path.
-        let (data, _) = rt.read_page(t2, &m, 0, 0, None, false).unwrap();
+        let (data, _) = read_page(&rt, t2, &m, 0, 0, None).unwrap();
         assert!(data.iter().all(|&b| b == 3));
     }
 
@@ -1877,10 +1644,10 @@ mod tests {
         dirty.insert(0, ps as u64);
         let mut t = 0;
         for page in 0..8 {
-            t = rt.write_page_diff(t, &m, page, &vec![page as u8; ps], &dirty, 0).unwrap();
+            t = write_diff(&rt, t, &m, page, &vec![page as u8; ps], &dirty, 0).unwrap();
         }
         let before = rt.stats();
-        let parts = rt.read_page_run(t, &m, 0, 8, 0, None).unwrap();
+        let parts = read_run(&rt, t, &m, 0, 8, 0, None).unwrap();
         assert_eq!(parts.len(), 8);
         for (page, (data, _)) in parts.iter().enumerate() {
             assert!(data.iter().all(|&b| b == page as u8), "page {page}");
@@ -1896,6 +1663,28 @@ mod tests {
     }
 
     #[test]
+    fn every_page_of_a_run_touches_its_holder() {
+        let (_c, rt) = runtime(1);
+        let m = rt.open_or_create_vector("mem://touch", 1, None, Some(4 * 4096)).unwrap();
+        m.policy.set(Policy::Local);
+        let ps = m.page_size as usize;
+        let mut dirty = RangeSet::new();
+        dirty.insert(0, ps as u64);
+        let mut t = 0;
+        for page in 0..4 {
+            t = write_diff(&rt, t, &m, page, &vec![1u8; ps], &dirty, 0).unwrap();
+        }
+        // `mm_scope`'s per-node load (`scope.node_touches`) must see a
+        // coalesced scan: one touch per page served, whatever the run length.
+        let touches = || rt.inner.nodes[0].touches.get();
+        let before = touches();
+        read_run(&rt, t, &m, 0, 4, 0, None).unwrap();
+        assert_eq!(touches() - before, 4);
+        read_page(&rt, t, &m, 2, 0, None).unwrap();
+        assert_eq!(touches() - before, 5);
+    }
+
+    #[test]
     fn backend_stage_in_reads_existing_file_data() {
         let (_c, rt) = runtime(1);
         // Pre-populate a mem:// object... mem is volatile; use obj://.
@@ -1904,11 +1693,11 @@ mod tests {
         obj.write_at(0, &vec![9u8; 5000]).unwrap();
         let m = rt.open_or_create_vector("obj://bkt/data.bin", 1, Some(4096), None).unwrap();
         assert_eq!(m.len_elems(), 5000);
-        let (page0, t) = rt.read_page(0, &m, 0, 0, None, false).unwrap();
+        let (page0, t) = read_page(&rt, 0, &m, 0, 0, None).unwrap();
         assert!(t > 0);
         assert!(page0.iter().all(|&b| b == 9));
         // Page 1 covers bytes 4096..8192 but only 5000 exist: tail zeros.
-        let (page1, _) = rt.read_page(0, &m, 1, 0, None, false).unwrap();
+        let (page1, _) = read_page(&rt, 0, &m, 1, 0, None).unwrap();
         assert!(page1[..904].iter().all(|&b| b == 9));
         assert!(page1[904..].iter().all(|&b| b == 0));
         assert!(rt.stats().staged_in > 0);
@@ -1922,10 +1711,10 @@ mod tests {
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
-        let t0 = rt.write_page_diff(0, &m, 0, &vec![3u8; ps], &dirty, 0).unwrap();
+        let t0 = write_diff(&rt, 0, &m, 0, &vec![3u8; ps], &dirty, 0).unwrap();
         let mut dirty1 = RangeSet::new();
         dirty1.insert(0, 6000 - ps as u64);
-        let t1 = rt.write_page_diff(0, &m, 1, &vec![4u8; ps], &dirty1, 0).unwrap();
+        let t1 = write_diff(&rt, 0, &m, 1, &vec![4u8; ps], &dirty1, 0).unwrap();
         let done = rt.flush_vector(t0.max(t1), &m).unwrap();
         assert!(done > t0.max(t1));
         let url = DataUrl::parse("obj://bkt/out.bin").unwrap();
@@ -1952,12 +1741,12 @@ mod tests {
         dirty.insert(0, ps as u64);
         let mut t = 0;
         for page in 0..32 {
-            t = rt.write_page_diff(t, &m, page, &vec![page as u8; ps], &dirty, 0).unwrap();
+            t = write_diff(&rt, t, &m, page, &vec![page as u8; ps], &dirty, 0).unwrap();
         }
         // All 32 pages readable with correct contents.
         let done = rt.flush_vector(t, &m).unwrap();
         for page in [0u64, 10, 31] {
-            let (data, _) = rt.read_page(done, &m, page, 0, None, false).unwrap();
+            let (data, _) = read_page(&rt, done, &m, page, 0, None).unwrap();
             assert!(data.iter().all(|&b| b == page as u8), "page {page}");
         }
         assert!(rt.stats().staged_out > 0, "overflow must have staged out");
@@ -1971,7 +1760,7 @@ mod tests {
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
-        rt.write_page_diff(0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
+        write_diff(&rt, 0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
         rt.destroy_vector(&m, true).unwrap();
         assert!(rt.lookup_vector("mem://gone").is_none());
         assert!(rt.inner.dir.is_empty());
@@ -1988,7 +1777,7 @@ mod tests {
             let ps = m.page_size as usize;
             let mut dirty = RangeSet::new();
             dirty.insert(0, ps as u64);
-            rt.write_page_diff(0, m, 0, &vec![8u8; ps], &dirty, 0).unwrap();
+            write_diff(&rt, 0, m, 0, &vec![8u8; ps], &dirty, 0).unwrap();
         }
         rt.shutdown(1_000_000).unwrap();
         let obj = rt.backends().open(&DataUrl::parse("obj://b/nv.bin").unwrap()).unwrap();
@@ -2019,7 +1808,7 @@ mod tests {
         let ps = m.page_size as usize;
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
-        rt.write_page_diff(0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
+        write_diff(&rt, 0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
         assert_eq!(rt.tier_bandwidth_of(&m, 0, 0), rt.cfg().tiers[0].bandwidth);
     }
 }

@@ -1,17 +1,18 @@
-//! Property: a batched (coalesced-run) submission is *equivalent* to the
-//! per-page fault path it replaced.
+//! Property: one ranged read serves a run the same whether it is asked for
+//! page by page or all at once — `run(count = 1) × n ≡ run(count = n)`.
 //!
 //! For every mix of written / fresh pages and every run shape, two
 //! identically prepared runtimes must agree byte-for-byte on page
-//! contents, and the telemetry must tell the same story: the per-page
-//! path reports one synchronous fault per page, the batched path reports
-//! one synchronous fault plus `count - 1` coalesced prefetches and a
-//! single batched crossing — the same pages served, accounted two ways.
+//! contents, and the telemetry must tell the same story: asked page by
+//! page the path reports one synchronous fault per page, asked at once it
+//! reports one synchronous fault plus `count - 1` coalesced prefetches and
+//! a single batched crossing — the same pages served, accounted two ways.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use super::tests::{read_page, read_run, write_diff};
 use super::*;
 use crate::config::RuntimeConfig;
 use crate::rangeset::RangeSet;
@@ -36,7 +37,7 @@ fn prepared(seed: u64, written: &[bool]) -> (Cluster, Runtime, Arc<VectorMeta>) 
     for (page, w) in written.iter().enumerate() {
         if *w {
             let fill = (splitmix64(seed ^ page as u64) & 0xff) as u8;
-            rt.write_page_diff(0, &m, page as u64, &vec![fill; ps], &dirty, 0).unwrap();
+            write_diff(&rt, 0, &m, page as u64, &vec![fill; ps], &dirty, 0).unwrap();
         }
     }
     (cluster, rt, m)
@@ -46,26 +47,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn batched_run_equals_per_page_path(
+    fn one_run_of_n_equals_n_runs_of_one(
         seed in any::<u64>(),
         written in proptest::collection::vec(any::<bool>(), 1..MAX_RUN as usize + 1),
     ) {
         let count = written.len() as u64;
 
-        // Runtime A: one traced fault per page.
+        // Runtime A: one `count = 1` run per page.
         let (_ca, rt_a, m_a) = prepared(seed, &written);
         let base_a = rt_a.stats();
         let mut pages_a = Vec::new();
         for page in 0..count {
-            let (data, _) = rt_a.read_page(10_000, &m_a, page, 0, None, false).unwrap();
+            let (data, _) = read_page(&rt_a, 10_000, &m_a, page, 0, None).unwrap();
             pages_a.push(data);
         }
         let s_a = rt_a.stats();
 
-        // Runtime B: the whole run in one batched submission.
+        // Runtime B: the whole run in one `count = n` submission.
         let (_cb, rt_b, m_b) = prepared(seed, &written);
         let base_b = rt_b.stats();
-        let pages_b = rt_b.read_page_run(10_000, &m_b, 0, count, 0, None).unwrap();
+        let pages_b = read_run(&rt_b, 10_000, &m_b, 0, count, 0, None).unwrap();
         let s_b = rt_b.stats();
 
         // Byte-identical contents, page by page.

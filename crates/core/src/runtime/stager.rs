@@ -200,8 +200,7 @@ pub(crate) fn stage_out_all(
                 // Re-read the ranges under the lock; a drain may have
                 // cleaned the page since it was listed.
                 let Some(ranges) = dmsh.dirty_ranges(id) else { return Ok((now, 0)) };
-                let (data, read_done) =
-                    dmsh.get_traced(now, id, sink.ctx).map_err(MmError::from)?;
+                let (data, read_done) = dmsh.get_range(now, id, 0, u64::MAX, sink.ctx)?;
                 let out = stage_out_ranges(
                     rt,
                     read_done,
@@ -416,6 +415,7 @@ mod tests {
     use crate::config::RuntimeConfig;
     use crate::policy::{Policy, PolicyCell};
     use crate::runtime::journal::IntentJournal;
+    use crate::runtime::tests::{read_page, write_diff};
 
     const PS: u64 = 4096;
 
@@ -510,7 +510,7 @@ mod tests {
         ranges: &[(u64, u64)],
         fill: u8,
     ) -> SimTime {
-        let (bytes, t) = rt.read_page(t, meta, page, 0, None, false).unwrap();
+        let (bytes, t) = read_page(rt, t, meta, page, 0, None).unwrap();
         let mut data = bytes.to_vec();
         let mut dirty = RangeSet::new();
         for &(s, e) in ranges {
@@ -519,7 +519,7 @@ mod tests {
             oracle[base + s as usize..base + e as usize].fill(fill);
             dirty.insert(s, e);
         }
-        rt.write_page_diff(t, meta, page, &data, &dirty, 0).unwrap()
+        write_diff(rt, t, meta, page, &data, &dirty, 0).unwrap()
     }
 
     fn take(log: &OpLog) -> Vec<Op> {

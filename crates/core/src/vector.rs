@@ -27,7 +27,7 @@ use crate::pagebuf::PageBuf;
 use crate::pcache::{CachedPage, PCache, PCacheStats};
 use crate::policy::{Access, Policy};
 use crate::prefetch::{run_prefetcher, PrefetchEnv};
-use crate::runtime::{Runtime, VectorMeta};
+use crate::runtime::{Payload, Runtime, VectorMeta};
 use crate::tenant::TenantAccount;
 use crate::tx::{AccessPattern, Transaction, TxKind};
 
@@ -567,71 +567,52 @@ impl<T: Element> MmVec<T> {
         cp.data.owned_mut()
     }
 
+    /// Submit one page's dirty bytes as an asynchronous writer MemoryTask
+    /// under its own `Commit` trace. A full page travels as the buffer
+    /// itself; a diff pays the memcpy of the modified bytes first ("During
+    /// an eviction, the application will only experience the performance
+    /// cost of a memory copy").
+    fn submit(&self, p: &Proc, page: u64, payload: Payload<'_>) -> Result<()> {
+        let tel = self.rt.telemetry();
+        let begin = p.now();
+        let ctx = tel.trace_begin(p.node() as u32);
+        let bytes = payload.covered();
+        if let Payload::Diff(..) = payload {
+            p.advance(p.cpu().memcpy_ns(bytes));
+        }
+        let done = self.rt.commit_page(p.now(), &self.meta, page, payload, p.node(), ctx)?;
+        if !ctx.is_none() {
+            let policy = self.meta.policy.get().name();
+            tel.trace_end(ctx, Stage::Commit, begin, done, p.node() as u32, bytes, policy, page);
+        }
+        Ok(())
+    }
+
     /// Submit every dirty page as an asynchronous writer MemoryTask.
     /// Fully-dirty pages take the zero-copy path: the private buffer is
     /// frozen into a shared [`PageBuf`] view and handed to the scache as-is
-    /// (no memcpy at all). Partially-dirty pages still pay the memcpy of
-    /// the modified bytes ("During an eviction, the application will only
-    /// experience the performance cost of a memory copy").
+    /// (no memcpy at all); the page stays resident and clean.
     fn commit_dirty(&self, p: &Proc, st: &mut VecState) -> Result<()> {
         let seq = st.tx_seq;
-        let dirty = st.pcache.dirty_pages();
-        let tel = self.rt.telemetry();
-        for page in dirty {
+        for page in st.pcache.dirty_pages() {
             let cp = st
                 .pcache
                 .peek_mut(page)
                 .ok_or(MmError::Internal("page listed dirty but absent from pcache"))?;
-            let full = cp.dirty.covers(0, cp.data.len() as u64);
             let ranges = std::mem::take(&mut cp.dirty);
-            let begin = p.now();
-            let ctx = tel.trace_begin(p.node() as u32);
-            let res = if full {
-                // Zero-copy commit: the scache gets a shared view of the
-                // same allocation; the page stays resident and clean.
-                let data = cp.data.freeze();
-                let bytes = data.len() as u64;
+            let payload = if ranges.covers(0, cp.data.len() as u64) {
                 cp.self_write_seq = Some(seq);
-                self.rt
-                    .write_page_full_traced(p.now(), &self.meta, page, data, p.node(), ctx)
-                    .map(|done| (bytes, done))
+                Payload::Full(cp.data.freeze())
             } else {
-                p.advance(p.cpu().memcpy_ns(ranges.covered()));
-                self.rt
-                    .write_page_diff_traced(
-                        p.now(),
-                        &self.meta,
-                        page,
-                        cp.data.as_slice(),
-                        &ranges,
-                        p.node(),
-                        ctx,
-                    )
-                    .map(|done| (ranges.covered(), done))
+                Payload::Diff(cp.data.as_slice(), &ranges)
             };
-            let (bytes, done) = match res {
-                Ok(v) => v,
-                Err(e) => {
-                    // Writer submission failed: restore the dirty ranges so
-                    // the modifications survive for a retry.
-                    if let Some(cp) = st.pcache.peek_mut(page) {
-                        cp.dirty = ranges;
-                    }
-                    return Err(e);
+            if let Err(e) = self.submit(p, page, payload) {
+                // Writer submission failed: restore the dirty ranges so
+                // the modifications survive for a retry.
+                if let Some(cp) = st.pcache.peek_mut(page) {
+                    cp.dirty = ranges;
                 }
-            };
-            if !ctx.is_none() {
-                let policy = self.meta.policy.get().name();
-                tel.trace_end(
-                    ctx,
-                    Stage::Commit,
-                    begin,
-                    done,
-                    p.node() as u32,
-                    bytes,
-                    policy,
-                    page,
-                );
+                return Err(e);
             }
         }
         Ok(())
@@ -689,45 +670,36 @@ impl<T: Element> MmVec<T> {
         }
         let ctx = tel.trace_begin(p.node() as u32);
         tel.trace_child(ctx, Stage::MissDetect, fault_at, fault_at, p.node() as u32, 0, "", page);
-        if run > 1 {
-            let parts = self.rt.read_page_run_traced(
-                p.now(),
-                &self.meta,
-                page,
-                run,
-                p.node(),
-                collective,
-                false,
-                ctx,
-            )?;
-            let mut iter = parts.into_iter();
-            let (data, done) =
-                iter.next().ok_or(MmError::Internal("ranged read returned no pages"))?;
-            // Extras land as prefetched pages with their own ready time;
-            // insert them first so the faulting page stays the fast-path
-            // `last` entry.
-            for (k, (extra, ready)) in iter.enumerate() {
-                let mut cp = CachedPage::new(PageBuf::shared(extra), ready);
-                cp.prefetched = true;
-                st.pcache.insert(page + 1 + k as u64, cp);
-            }
-            p.advance_to(done);
-            st.pcache.insert(page, CachedPage::new(PageBuf::shared(data), p.now()));
-        } else {
-            let (data, done) = self.rt.read_page_traced(
-                p.now(),
-                &self.meta,
-                page,
-                p.node(),
-                collective,
-                false,
-                ctx,
-            )?;
-            p.advance_to(done);
-            // The device/worker/network charges above already model shipping
-            // the page; installing it is a refcount bump, not a copy.
-            st.pcache.insert(page, CachedPage::new(PageBuf::shared(data), p.now()));
-        }
+        // The faulting page is held back and inserted last so it stays the
+        // fast-path `last` entry; the extras of a coalesced run land as
+        // prefetched pages with their own ready time. The device, worker and
+        // network charges already model shipping each page: installing it is
+        // a refcount bump, not a copy.
+        let mut faulted = None;
+        let mut next = page;
+        self.rt.read_pages(
+            p.now(),
+            &self.meta,
+            page,
+            run,
+            p.node(),
+            collective,
+            false,
+            ctx,
+            |data, ready| {
+                if next == page {
+                    faulted = Some((data, ready));
+                } else {
+                    let mut cp = CachedPage::new(PageBuf::shared(data), ready);
+                    cp.prefetched = true;
+                    st.pcache.insert(next, cp);
+                }
+                next += 1;
+            },
+        )?;
+        let (data, done) = faulted.ok_or(MmError::Internal("ranged read returned no pages"))?;
+        p.advance_to(done);
+        st.pcache.insert(page, CachedPage::new(PageBuf::shared(data), p.now()));
         if !ctx.is_none() {
             let policy = self.meta.policy.get().name();
             tel.trace_end(
@@ -826,50 +798,23 @@ impl<T: Element> MmVec<T> {
         if cp.dirty.is_empty() {
             return Ok(());
         }
-        let tel = self.rt.telemetry();
-        let begin = p.now();
-        let ctx = tel.trace_begin(p.node() as u32);
         let full = cp.dirty.covers(0, cp.data.len() as u64);
-        let res = if full {
+        let payload = if full {
             // Fully-dirty eviction ships the buffer itself — no memcpy.
             // Taking the buffer out keeps its refcount at one so the
             // scache can steal the allocation instead of copying.
-            let data = std::mem::take(&mut cp.data).into_bytes();
-            let bytes = data.len() as u64;
-            self.rt
-                .write_page_full_traced(p.now(), &self.meta, page, data, p.node(), ctx)
-                .map(|done| (bytes, done))
+            Payload::Full(std::mem::take(&mut cp.data).into_bytes())
         } else {
-            p.advance(p.cpu().memcpy_ns(cp.dirty.covered()));
-            self.rt
-                .write_page_diff_traced(
-                    p.now(),
-                    &self.meta,
-                    page,
-                    cp.data.as_slice(),
-                    &cp.dirty,
-                    p.node(),
-                    ctx,
-                )
-                .map(|done| (cp.dirty.covered(), done))
+            Payload::Diff(cp.data.as_slice(), &cp.dirty)
         };
-        let (bytes, done) = match res {
-            Ok(v) => v,
-            Err(e) => {
-                // Writer submission failed. A partially-dirty page still
-                // holds its bytes: put it back so nothing is lost. The
-                // fully-dirty buffer was consumed by the attempt.
-                if !full {
-                    st.pcache.insert(page, cp);
-                }
-                return Err(e);
-            }
-        };
-        if !ctx.is_none() {
-            let policy = self.meta.policy.get().name();
-            tel.trace_end(ctx, Stage::Commit, begin, done, p.node() as u32, bytes, policy, page);
+        let res = self.submit(p, page, payload);
+        // Writer submission failed. A partially-dirty page still holds its
+        // bytes: put it back so nothing is lost. The fully-dirty buffer was
+        // consumed by the attempt.
+        if res.is_err() && !full {
+            st.pcache.insert(page, cp);
         }
-        Ok(())
+        res
     }
 
     fn run_prefetch(&self, p: &Proc, st: &mut VecState, tx: &mut Transaction) {
@@ -951,49 +896,7 @@ impl<T: Element> PrefetchEnv for VecEnv<'_, T> {
         self.st.pcache.contains(page)
     }
 
-    fn issue_prefetch(&mut self, page: u64) {
-        if !self.make_prefetch_room() {
-            return; // nothing reclaimable; skip this prefetch
-        }
-        let collective = self.st.tx.as_ref().and_then(|tx| tx.collective);
-        let tel = self.vec.rt.telemetry();
-        let issued = self.p.now();
-        let ctx = tel.trace_begin(self.p.node() as u32);
-        let end_trace = |ready_at, bytes| {
-            if !ctx.is_none() {
-                let policy = self.vec.meta.policy.get().name();
-                tel.trace_end(
-                    ctx,
-                    Stage::Prefetch,
-                    issued,
-                    ready_at,
-                    self.p.node() as u32,
-                    bytes,
-                    policy,
-                    page,
-                );
-            }
-        };
-        match self.vec.rt.read_page_traced(
-            self.p.now(),
-            &self.vec.meta,
-            page,
-            self.p.node(),
-            collective,
-            true,
-            ctx,
-        ) {
-            Ok((data, ready_at)) => {
-                end_trace(ready_at, data.len() as u64);
-                let mut cp = CachedPage::new(PageBuf::shared(data), ready_at);
-                cp.prefetched = true;
-                self.st.pcache.insert(page, cp);
-            }
-            Err(_) => end_trace(issued, 0), // prefetch is best-effort
-        }
-    }
-
-    fn issue_prefetch_run(&mut self, first: u64, count: u64) {
+    fn issue_prefetch(&mut self, first: u64, count: u64) {
         // One batched crossing per chunk: the run is split at the coalesce
         // bound (which also keeps each chunk inside one fault shard's
         // 8-page neighbourhood — see `directory::shard_of`).
@@ -1002,11 +905,6 @@ impl<T: Element> PrefetchEnv for VecEnv<'_, T> {
         let mut start = first;
         while start < end {
             let n = max.min(end - start);
-            if n == 1 {
-                self.issue_prefetch(start);
-                start += 1;
-                continue;
-            }
             if !self.make_prefetch_room() {
                 return; // nothing reclaimable; skip the rest of the run
             }
@@ -1014,7 +912,9 @@ impl<T: Element> PrefetchEnv for VecEnv<'_, T> {
             let tel = self.vec.rt.telemetry();
             let issued = self.p.now();
             let ctx = tel.trace_begin(self.p.node() as u32);
-            match self.vec.rt.read_page_run_traced(
+            let mut next = start;
+            let mut bytes = 0u64;
+            let ready = self.vec.rt.read_pages(
                 issued,
                 &self.vec.meta,
                 start,
@@ -1023,46 +923,29 @@ impl<T: Element> PrefetchEnv for VecEnv<'_, T> {
                 collective,
                 true,
                 ctx,
-            ) {
-                Ok(parts) => {
-                    let bytes = parts.iter().map(|(d, _)| d.len() as u64).sum();
-                    let ready = parts.iter().map(|&(_, r)| r).max().unwrap_or(issued);
-                    for (k, (data, ready_at)) in parts.into_iter().enumerate() {
-                        let mut cp = CachedPage::new(PageBuf::shared(data), ready_at);
-                        cp.prefetched = true;
-                        self.st.pcache.insert(start + k as u64, cp);
-                    }
-                    if !ctx.is_none() {
-                        let policy = self.vec.meta.policy.get().name();
-                        tel.trace_end(
-                            ctx,
-                            Stage::Prefetch,
-                            issued,
-                            ready,
-                            self.p.node() as u32,
-                            bytes,
-                            policy,
-                            start,
-                        );
-                    }
-                }
-                Err(_) => {
-                    // Best-effort, like the single-page path: drop the span
-                    // and move on to the next chunk.
-                    if !ctx.is_none() {
-                        let policy = self.vec.meta.policy.get().name();
-                        tel.trace_end(
-                            ctx,
-                            Stage::Prefetch,
-                            issued,
-                            issued,
-                            self.p.node() as u32,
-                            0,
-                            policy,
-                            start,
-                        );
-                    }
-                }
+                |data, ready_at| {
+                    bytes += data.len() as u64;
+                    let mut cp = CachedPage::new(PageBuf::shared(data), ready_at);
+                    cp.prefetched = true;
+                    self.st.pcache.insert(next, cp);
+                    next += 1;
+                },
+            );
+            if !ctx.is_none() {
+                // Prefetch is best-effort: a failed chunk closes its span
+                // empty and the next chunk goes ahead.
+                let (ready, bytes) = ready.map_or((issued, 0), |ready| (ready, bytes));
+                let policy = self.vec.meta.policy.get().name();
+                tel.trace_end(
+                    ctx,
+                    Stage::Prefetch,
+                    issued,
+                    ready,
+                    self.p.node() as u32,
+                    bytes,
+                    policy,
+                    start,
+                );
             }
             start += n;
         }

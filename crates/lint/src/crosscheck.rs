@@ -77,14 +77,14 @@ mod tests {
   "schema": "mm-lock-edges/v1",
   "edges": [
     { "from": "VecState", "from_rank": 10, "to": "DmshMeta", "to_rank": 50 },
-    { "from": "DmshMeta", "from_rank": 50, "to": "DmshStore", "to_rank": 60 }
+    { "from": "DmshMeta", "from_rank": 50, "to": "Resource", "to_rank": 80 }
   ]
 }
 "#;
 
     #[test]
     fn parses_the_pinned_schema() {
-        assert_eq!(parse_edges(SAMPLE).unwrap(), vec![(10, 50), (50, 60)]);
+        assert_eq!(parse_edges(SAMPLE).unwrap(), vec![(10, 50), (50, 80)]);
     }
 
     #[test]
@@ -103,16 +103,16 @@ mod tests {
     #[test]
     fn removed_static_edge_fails_the_check() {
         let m = FileModel::parse(
-            "crates/tiered/src/dmsh.rs",
-            "fn a(&self) { let g = self.meta.lock(); let h = self.tiers[0].store.lock(); }",
+            "crates/core/src/runtime/mod.rs",
+            "fn a(&self) { let g = self.vectors.lock(); let h = self.shards[0].apply_lock.lock(); }",
         );
         let (mut g, _) = crate::lockgraph::analyze(std::slice::from_ref(&m));
-        assert!(g.has(50, 60));
-        let observed = vec![(50u8, 60u8)];
+        assert!(g.has(30, 40));
+        let observed = vec![(30u8, 40u8)];
         assert!(missing(&g, &observed).is_empty(), "edge present: check holds");
-        g.edges.remove(&(50, 60));
+        g.edges.remove(&(30, 40));
         let miss = missing(&g, &observed);
-        assert_eq!(miss, vec![(50, 60)]);
-        assert!(report(&miss).contains("DmshMeta (50) -> DmshStore (60)"));
+        assert_eq!(miss, vec![(30, 40)]);
+        assert!(report(&miss).contains("RtMeta (30) -> ApplyShard (40)"));
     }
 }

@@ -410,13 +410,13 @@ mod tests {
     #[test]
     fn direct_nesting_builds_edges_and_flags_descent() {
         let fs = models(&[(
-            "crates/tiered/src/dmsh.rs",
-            "fn ok(&self) { let a = self.meta.lock(); let b = self.tiers[0].store.lock(); }\n\
-             fn bad(&self) { let a = self.tiers[0].store.lock(); let b = self.meta.lock(); }",
+            "crates/core/src/runtime/mod.rs",
+            "fn ok(&self) { let a = self.vectors.lock(); let b = self.shards[0].apply_lock.lock(); }\n\
+             fn bad(&self) { let a = self.shards[0].apply_lock.lock(); let b = self.vectors.lock(); }",
         )]);
         let (g, f) = analyze(&fs);
-        assert!(g.has(50, 60));
-        assert!(g.has(60, 50));
+        assert!(g.has(30, 40));
+        assert!(g.has(40, 30));
         let bad: Vec<_> = f.iter().filter(|x| x.rule == "lock-graph").collect();
         assert_eq!(bad.len(), 2, "{bad:?}"); // descent + the resulting cycle
         assert!(bad.iter().any(|x| x.msg.contains("cycle among ranked locks")));
@@ -506,15 +506,15 @@ mod tests {
     #[test]
     fn cycle_finding_cannot_be_allowlisted() {
         let fs = models(&[(
-            "crates/tiered/src/dmsh.rs",
-            "fn a(&self) { let g = self.meta.lock(); let h = self.tiers[0].store.lock(); }\n\
-             fn b(&self) { let h = self.tiers[0].store.lock(); let g = self.meta.lock(); }",
+            "crates/core/src/runtime/mod.rs",
+            "fn a(&self) { let g = self.vectors.lock(); let h = self.shards[0].apply_lock.lock(); }\n\
+             fn b(&self) { let h = self.shards[0].apply_lock.lock(); let g = self.vectors.lock(); }",
         )]);
         let (_, f) = analyze(&fs);
         let cyc = f.iter().find(|x| x.msg.contains("cycle")).expect("cycle reported");
         assert!(cyc.line_text.is_empty(), "cycle must not carry matchable line text");
         let allow = crate::allow::Allowlist::parse(
-            "[[allow]]\nrule = \"lock-graph\"\npath = \"crates/tiered/src/dmsh.rs\"\npattern = \"meta\"\nreason = \"testing the gate\"\n",
+            "[[allow]]\nrule = \"lock-graph\"\npath = \"crates/core/src/runtime/mod.rs\"\npattern = \"vectors\"\nreason = \"testing the gate\"\n",
         )
         .unwrap();
         assert!(!allow.permits(cyc.rule, &cyc.path, &cyc.line_text));
@@ -522,15 +522,15 @@ mod tests {
 
     #[test]
     fn json_and_dot_are_deterministic() {
-        let src = "fn a(&self) { let g = self.meta.lock(); let h = self.tiers[0].store.lock(); }";
-        let fs = models(&[("crates/tiered/src/dmsh.rs", src)]);
+        let src = "fn a(&self) { let g = self.vectors.lock(); let h = self.shards[0].apply_lock.lock(); }";
+        let fs = models(&[("crates/core/src/runtime/mod.rs", src)]);
         let (g1, _) = analyze(&fs);
         let (g2, _) = analyze(&fs);
         assert_eq!(g1.to_json(), g2.to_json());
         assert_eq!(g1.to_dot(), g2.to_dot());
         assert!(g1.to_json().contains("\"schema\": \"mm-lock-graph/v1\""));
-        assert!(g1.to_json().contains("\"from\": \"DmshMeta\""));
-        assert!(g1.to_dot().contains("DmshMeta -> DmshStore"));
+        assert!(g1.to_json().contains("\"from\": \"RtMeta\""));
+        assert!(g1.to_dot().contains("RtMeta -> ApplyShard"));
     }
 
     #[test]

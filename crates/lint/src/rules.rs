@@ -152,7 +152,7 @@ pub fn zero_copy(files: &[FileModel]) -> Vec<Finding> {
 
 /// Name fragments identifying fault/commit/flush-path entry points.
 const TRACED_NAMES: &[&str] =
-    &["fault", "commit", "flush", "read_page", "write_page", "get_range", "put_range", "stage_"];
+    &["fault", "commit", "flush", "read_page", "get_range", "put_range", "stage_"];
 
 /// Crates whose public fault-path API must thread a `TraceCtx`.
 const TRACED_CRATES: &[&str] = &["crates/core/", "crates/tiered/", "crates/cluster/"];
@@ -258,7 +258,6 @@ const LOCK_RANKS: &[(&str, &str, u8, &str)] = &[
     ("crates/core/src/runtime/", "apply_lock", 40, "ApplyShard"),
     ("crates/core/src/runtime/directory.rs", "shards", 48, "DirShard"),
     ("crates/tiered/src/dmsh.rs", "meta", 50, "DmshMeta"),
-    ("crates/tiered/src/dmsh.rs", "store", 60, "DmshStore"),
     ("crates/cluster/src/mailbox.rs", "queue", 70, "Mailbox"),
     ("crates/sim/src/resource.rs", "reservations", 80, "Resource"),
 ];
@@ -270,7 +269,7 @@ const LOCK_HELPERS: &[(&str, u8, &str)] =
 /// Rank of the `.lock()` at `pos`, from the last ranked keyword between
 /// the start of the *statement* and the call. Scanning back only to the
 /// line start would miss multi-line chained receivers
-/// (`self.tiers[i]\n  .store\n  .lock()`), silently exempting the call.
+/// (`self.shards[i]\n  .apply_lock\n  .lock()`), silently exempting the call.
 pub(crate) fn rank_of_lock(m: &FileModel, pos: usize) -> Option<(u8, &'static str)> {
     let stmt_start = m.scrubbed[..pos].rfind([';', '{', '}']).map_or(0, |i| i + 1);
     let recv = &m.scrubbed[stmt_start..pos];
@@ -400,13 +399,11 @@ const FAULT_ROOTS: &[&str] = &[
     "commit_dirty",
     "evict_page",
     "make_room",
-    "read_page_traced",
-    "read_page_run_traced",
-    "write_page_diff_traced",
-    "write_page_full_traced",
-    "get_traced",
-    "put_range",
+    "read_page_fast",
+    "read_pages",
+    "commit_page",
     "get_range",
+    "put_ranges",
 ];
 
 /// Ubiquitous method names excluded from call-graph edges: a name-based
@@ -767,7 +764,7 @@ mod tests {
     fn traced_fault_path_fn_passes() {
         let m = file(
             "crates/core/src/runtime/mod.rs",
-            "pub fn read_page_traced(&self, now: u64, ctx: TraceCtx) -> Bytes { go(now, ctx) }",
+            "pub fn read_pages(&self, now: u64, ctx: TraceCtx) -> Bytes { go(now, ctx) }",
         );
         assert!(trace_propagation(&[m]).is_empty());
     }
@@ -776,7 +773,7 @@ mod tests {
     fn trace_none_is_allowlist_only() {
         let m = file(
             "crates/tiered/src/dmsh.rs",
-            "pub fn quiet(&self) { self.get_traced(0, id, TraceCtx::NONE); }",
+            "pub fn quiet(&self) { self.get_range(0, id, 0, 9, TraceCtx::NONE); }",
         );
         let f = trace_propagation(&[m]);
         assert!(f.iter().any(|x| x.msg.contains("NONE")));
@@ -832,19 +829,19 @@ mod tests {
     #[test]
     fn descending_lock_nesting_is_flagged() {
         let m = file(
-            "crates/tiered/src/dmsh.rs",
-            "fn f(&self) { let s = self.tiers[0].store.lock(); let m = self.meta.lock(); }",
+            "crates/core/src/runtime/mod.rs",
+            "fn f(&self) { let s = self.shards[0].apply_lock.lock(); let m = self.vectors.lock(); }",
         );
         let f = lock_order(&[m]);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].msg.contains("DmshMeta"));
+        assert!(f[0].msg.contains("RtMeta"));
     }
 
     #[test]
     fn ascending_lock_nesting_passes() {
         let m = file(
-            "crates/tiered/src/dmsh.rs",
-            "fn f(&self) { let m = self.meta.lock(); let s = self.tiers[0].store.lock(); }",
+            "crates/core/src/runtime/mod.rs",
+            "fn f(&self) { let m = self.vectors.lock(); let s = self.shards[0].apply_lock.lock(); }",
         );
         assert!(lock_order(&[m]).is_empty());
     }
@@ -852,8 +849,8 @@ mod tests {
     #[test]
     fn scoped_release_resets_the_order() {
         let m = file(
-            "crates/tiered/src/dmsh.rs",
-            "fn f(&self) { { let s = self.tiers[0].store.lock(); } let m = self.meta.lock(); }",
+            "crates/core/src/runtime/mod.rs",
+            "fn f(&self) { { let s = self.shards[0].apply_lock.lock(); } let m = self.vectors.lock(); }",
         );
         assert!(lock_order(&[m]).is_empty());
     }
@@ -861,8 +858,8 @@ mod tests {
     #[test]
     fn explicit_drop_releases_the_guard() {
         let m = file(
-            "crates/tiered/src/dmsh.rs",
-            "fn f(&self) { let s = self.tiers[0].store.lock(); drop(s); let m = self.meta.lock(); }",
+            "crates/core/src/runtime/mod.rs",
+            "fn f(&self) { let s = self.shards[0].apply_lock.lock(); drop(s); let m = self.vectors.lock(); }",
         );
         assert!(lock_order(&[m]).is_empty());
     }
@@ -872,21 +869,21 @@ mod tests {
         // The ranked keyword sits two lines above the `.lock()` call; the
         // old line-local scan missed it and silently exempted the site.
         let m = file(
-            "crates/tiered/src/dmsh.rs",
-            "fn f(&self) {\n    let s = self.tiers[0]\n        .store\n        .lock();\n    let m = self.meta.lock();\n}",
+            "crates/core/src/runtime/mod.rs",
+            "fn f(&self) {\n    let s = self.shards[0]\n        .apply_lock\n        .lock();\n    let m = self.vectors.lock();\n}",
         );
         let f = lock_order(&[m]);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].msg.contains("DmshMeta"));
-        assert!(f[0].msg.contains("DmshStore"));
+        assert!(f[0].msg.contains("RtMeta"));
+        assert!(f[0].msg.contains("ApplyShard"));
     }
 
     #[test]
     fn statement_scan_does_not_cross_statement_boundaries() {
-        // `store` in the *previous statement* must not rank this `.lock()`.
+        // `vectors` in the *previous statement* must not rank this `.lock()`.
         let m = file(
-            "crates/tiered/src/dmsh.rs",
-            "fn f(&self) {\n    let x = self.tiers[0].store.len();\n    let g = self.foo.lock();\n}",
+            "crates/core/src/runtime/mod.rs",
+            "fn f(&self) {\n    let x = self.vectors.len();\n    let g = self.foo.lock();\n}",
         );
         assert!(lock_order(&[m]).is_empty());
     }
@@ -894,8 +891,8 @@ mod tests {
     #[test]
     fn chained_temporary_guard_is_transient() {
         let m = file(
-            "crates/tiered/src/dmsh.rs",
-            "fn f(&self) { self.tiers[0].store.lock().insert(id, d); let m = self.meta.lock(); }",
+            "crates/core/src/runtime/mod.rs",
+            "fn f(&self) { self.shards[0].apply_lock.lock().insert(id, d); let m = self.vectors.lock(); }",
         );
         assert!(lock_order(&[m]).is_empty());
     }

@@ -102,15 +102,14 @@ pub const RANKS: &[(u8, &str)] = &[
     (45, "ApplyVictim"),
     (48, "DirShard"),
     (50, "DmshMeta"),
-    (60, "DmshStore"),
     (70, "Mailbox"),
     (80, "Resource"),
 ];
 
 /// Ranks whose guards must never be held across backend I/O or a shard
-/// dispatch: the apply shards and the DMSH maps (the exact shape of the
+/// dispatch: the apply shards and the DMSH lock (the exact shape of the
 /// PR 7 lost-dirty-flag race).
-pub const IO_SENSITIVE_RANKS: &[u8] = &[40, 45, 50, 60];
+pub const IO_SENSITIVE_RANKS: &[u8] = &[40, 45, 50];
 
 /// Guard-returning helper methods that acquire a ranked lock internally.
 /// `(pattern, path filter, rank, name)`; patterns ending in `(` take
@@ -119,7 +118,6 @@ const GUARD_HELPERS: &[(&str, &str, u8, &str)] = &[
     (".lock_state()", "", 10, "VecState"),
     (".lock_meta()", "", 50, "DmshMeta"),
     (".lock_meta_at(", "", 50, "DmshMeta"),
-    (".lock_store(", "crates/tiered/src/dmsh.rs", 60, "DmshStore"),
     (".probe(", "crates/core/src/runtime/directory.rs", 48, "DirShard"),
 ];
 
@@ -135,7 +133,7 @@ const SPAN_HELPERS: &[(&str, u8, &str)] =
 const IO_INTRINSICS: &[&str] = &["backend_gate", "read_at", "write_at", "journal_write"];
 
 /// Callee names that enqueue onto a shard run queue.
-const DISPATCH_INTRINSICS: &[&str] = &["dispatch", "dispatch_batch"];
+const DISPATCH_INTRINSICS: &[&str] = &["dispatch_batch"];
 
 /// A call whose receiver token is a key here binds only to functions
 /// defined in the named file — the precise escape hatch for component
@@ -298,7 +296,7 @@ pub fn match_paren(b: &[u8], open: usize) -> usize {
 
 /// Whether the guard expression whose call ends at `after` is a chained
 /// temporary (released at the end of the statement). The chain's `.` may
-/// sit on the next line (`self.lock_store(from, now)\n    .remove(&id)`),
+/// sit on the next line (`self.lock_meta_at(now).0\n    .blobs.get(&id)`),
 /// so skip whitespace first — scrubbing is length-preserving, comments
 /// between the call and the `.` are already spaces.
 fn is_transient(scrubbed: &str, after: usize) -> bool {
@@ -650,12 +648,12 @@ mod tests {
         let m = file(
             "crates/core/src/runtime/stager.rs",
             "fn leaf(&self) { backend_gate(rt, t, meta, n, ctx); }\n\
-             fn caller(&self) { self.leaf(); self.dispatch(0, id, 1, t, r, ctx); }",
+             fn caller(&self) { self.leaf(); self.dispatch_batch(0, id, 1, 1, t, r, ctx); }",
         );
         let s = compute(std::slice::from_ref(&m));
         assert_eq!(s.of((0, 0)).io.as_deref(), Some("backend_gate"));
         assert_eq!(s.of((0, 1)).io.as_deref(), Some("leaf -> backend_gate"));
-        assert_eq!(s.of((0, 1)).dispatch.as_deref(), Some("dispatch"));
+        assert_eq!(s.of((0, 1)).dispatch.as_deref(), Some("dispatch_batch"));
     }
 
     #[test]

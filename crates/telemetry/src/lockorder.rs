@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! VecState < RtMeta < ApplyShard < ApplyVictim < DirShard
-//!          < DmshMeta < DmshStore < Mailbox < Resource
+//!          < DmshMeta < Mailbox < Resource
 //! ```
 //!
 //! A thread may only acquire a lock whose rank is *strictly greater* than
@@ -16,7 +16,7 @@
 //!
 //! The static `mm-lint` pass checks nesting *within* one function; this
 //! layer is its interprocedural complement — it sees the real call chains,
-//! e.g. a `Dmsh::put_range` reached while a vector's state lock is held.
+//! e.g. a `Dmsh::put_ranges` reached while a vector's state lock is held.
 
 /// Ranks of the workspace's long-lived locks, ascending in the order they
 /// may be nested. Keep in sync with the `[lockorder]` table in
@@ -41,10 +41,9 @@ pub enum LockRank {
     /// apply/victim shard, so it sits between the apply ranks and
     /// [`DmshMeta`](Self::DmshMeta).
     DirShard = 48,
-    /// `Dmsh::meta` (blob metadata tree).
+    /// `Dmsh::meta` (the blob records — metadata and bytes — the dirty
+    /// index and bucket QoS).
     DmshMeta = 50,
-    /// A tier's `store` map (blob bytes).
-    DmshStore = 60,
     /// Cluster mailbox / rendezvous queues.
     Mailbox = 70,
     /// `SharedResource::reservations` (leaf; never nests further).
@@ -53,14 +52,13 @@ pub enum LockRank {
 
 impl LockRank {
     /// Every rank, ascending — the key space of the contention profiler.
-    pub const ALL: [LockRank; 9] = [
+    pub const ALL: [LockRank; 8] = [
         LockRank::VecState,
         LockRank::RtMeta,
         LockRank::ApplyShard,
         LockRank::ApplyVictim,
         LockRank::DirShard,
         LockRank::DmshMeta,
-        LockRank::DmshStore,
         LockRank::Mailbox,
         LockRank::Resource,
     ];
@@ -74,7 +72,6 @@ impl LockRank {
             LockRank::ApplyVictim => "ApplyVictim",
             LockRank::DirShard => "DirShard",
             LockRank::DmshMeta => "DmshMeta",
-            LockRank::DmshStore => "DmshStore",
             LockRank::Mailbox => "Mailbox",
             LockRank::Resource => "Resource",
         }
@@ -183,8 +180,8 @@ mod tests {
     fn ascending_ranks_pass() {
         let a = acquired(LockRank::VecState);
         let b = acquired(LockRank::DmshMeta);
-        let c = acquired(LockRank::DmshStore);
-        assert_eq!(held(), vec![LockRank::VecState, LockRank::DmshMeta, LockRank::DmshStore]);
+        let c = acquired(LockRank::Mailbox);
+        assert_eq!(held(), vec![LockRank::VecState, LockRank::DmshMeta, LockRank::Mailbox]);
         drop(c);
         drop(b);
         drop(a);
@@ -204,7 +201,7 @@ mod tests {
     #[test]
     fn descending_acquisition_panics() {
         let out = std::panic::catch_unwind(|| {
-            let _a = acquired(LockRank::DmshStore);
+            let _a = acquired(LockRank::DmshMeta);
             let _b = acquired(LockRank::VecState); // violation
         });
         assert!(out.is_err(), "descending rank must panic in debug builds");

@@ -53,7 +53,6 @@ pub const fn modeled_hold_ns(rank: LockRank) -> u64 {
     match rank {
         // Map-mutating ranks: a tree/hash operation plus bookkeeping.
         LockRank::DmshMeta => 120,
-        LockRank::DmshStore => 180,
         LockRank::RtMeta => 100,
         // Sharded short sections.
         LockRank::DirShard => 60,
@@ -65,7 +64,7 @@ pub const fn modeled_hold_ns(rank: LockRank) -> u64 {
 
 /// Virtual-time "busy until" watermark of one profiled lock instance.
 ///
-/// One per *actual* lock (per directory slice, per tier store, …) so
+/// One per *actual* lock (per directory slice, per DMSH, …) so
 /// independent locks never model false contention against each other.
 #[derive(Debug, Default)]
 pub struct LockTimeline {
@@ -675,7 +674,7 @@ mod tests {
         std::thread::spawn(|| {
             let a = crate::lockorder::acquired(LockRank::VecState);
             let b = crate::lockorder::acquired(LockRank::DmshMeta);
-            let c = crate::lockorder::acquired(LockRank::DmshStore);
+            let c = crate::lockorder::acquired(LockRank::Resource);
             drop(c);
             drop(b);
             drop(a);
@@ -687,9 +686,9 @@ mod tests {
         observe_lock_edges(false);
         let edges = observed_lock_edges();
         assert!(edges.contains(&(LockRank::VecState, LockRank::DmshMeta)), "{edges:?}");
-        assert!(edges.contains(&(LockRank::VecState, LockRank::DmshStore)), "{edges:?}");
-        assert!(edges.contains(&(LockRank::DmshMeta, LockRank::DmshStore)), "{edges:?}");
-        assert!(!edges.contains(&(LockRank::DmshStore, LockRank::Mailbox)), "{edges:?}");
+        assert!(edges.contains(&(LockRank::VecState, LockRank::Resource)), "{edges:?}");
+        assert!(edges.contains(&(LockRank::DmshMeta, LockRank::Resource)), "{edges:?}");
+        assert!(!edges.contains(&(LockRank::Resource, LockRank::Mailbox)), "{edges:?}");
     }
 
     #[test]
@@ -712,13 +711,13 @@ mod tests {
     fn lock_edges_json_schema_is_pinned() {
         let json = lock_edges_json_from(&[
             (LockRank::VecState, LockRank::DmshMeta),
-            (LockRank::DmshMeta, LockRank::DmshStore),
+            (LockRank::DmshMeta, LockRank::Resource),
         ]);
         assert_eq!(
             json,
             "{\n  \"schema\": \"mm-lock-edges/v1\",\n  \"edges\": [\n    \
              { \"from\": \"VecState\", \"from_rank\": 10, \"to\": \"DmshMeta\", \"to_rank\": 50 },\n    \
-             { \"from\": \"DmshMeta\", \"from_rank\": 50, \"to\": \"DmshStore\", \"to_rank\": 60 }\n  ]\n}\n"
+             { \"from\": \"DmshMeta\", \"from_rank\": 50, \"to\": \"Resource\", \"to_rank\": 80 }\n  ]\n}\n"
         );
         assert_eq!(
             lock_edges_json_from(&[]),

@@ -27,9 +27,6 @@ pub enum DmshError {
     },
     /// The blob does not exist.
     NotFound(BlobId),
-    /// An internal invariant did not hold (e.g. meta and store disagree on
-    /// residency — a bug, not an environment failure).
-    Internal(&'static str),
 }
 
 impl fmt::Display for DmshError {
@@ -39,7 +36,6 @@ impl fmt::Display for DmshError {
                 write!(f, "DMSH full: cannot place {requested} bytes on any tier")
             }
             DmshError::NotFound(id) => write!(f, "blob {id} not resident"),
-            DmshError::Internal(m) => write!(f, "internal invariant violated: {m}"),
         }
     }
 }
@@ -54,14 +50,6 @@ pub struct PutOutcome {
     pub done_at: SimTime,
     /// Tier the blob landed on.
     pub tier: TierKind,
-}
-
-struct Tier {
-    device: DeviceModel,
-    /// Real storage for resident blobs.
-    store: Mutex<HashMap<BlobId, Bytes>>,
-    /// Contention-profiler watermark for this tier's store lock.
-    store_timeline: LockTimeline,
 }
 
 /// Cached telemetry handles for one tier (no registry lookups on hot paths).
@@ -81,14 +69,23 @@ struct BucketQos {
     inflicted: Counter,
 }
 
-/// Everything the `meta` mutex guards: blob metadata plus the dirty index.
+/// One resident blob: its placement state and its bytes. The tier a blob
+/// sits on is a field of the record, so a tier move never touches the data.
+struct Record {
+    meta: BlobMeta,
+    data: Bytes,
+}
+
+/// Everything the `meta` mutex guards.
 #[derive(Default)]
 struct MetaState {
-    blobs: BTreeMap<BlobId, BlobMeta>,
+    blobs: BTreeMap<BlobId, Record>,
     /// Per blob, the bytes its backend does not hold yet. An entry exists
     /// exactly when a resident blob has at least one such byte, and its
     /// ranges lie inside `[0, size)`. Tier moves never touch it.
     dirty: BTreeMap<BlobId, RangeSet>,
+    /// Tenant QoS by bucket.
+    bucket_qos: HashMap<u64, BucketQos>,
 }
 
 /// Retention priority of buckets with no QoS registration — the legacy
@@ -96,7 +93,7 @@ struct MetaState {
 /// neither dominates nor starves.
 const DEFAULT_PRIORITY: u8 = 1;
 
-/// One node's tier stack plus blob metadata.
+/// One node's tier stack plus its resident blobs.
 ///
 /// Tiers are ordered fastest-first. Placement policy (paper §III-D):
 /// "The organizer will first attempt to place pages in the fastest tiers if
@@ -106,10 +103,8 @@ pub struct Dmsh {
     name: String,
     /// Node index for event stamping (0 when unattached).
     node: u32,
-    tiers: Vec<Tier>,
+    tiers: Vec<DeviceModel>,
     meta: Mutex<MetaState>,
-    /// Tenant QoS by bucket (leaf lock; nests under `meta` in `demote`).
-    bucket_qos: Mutex<HashMap<u64, BucketQos>>,
     telemetry: Telemetry,
     tier_metrics: Vec<TierMetrics>,
     /// Bytes physically copied when patching a shared blob — shares the
@@ -121,14 +116,13 @@ pub struct Dmsh {
     /// Tier-retirement epoch already evacuated (lazy degraded-mode
     /// demotion; compared against the plan's epoch at `now`).
     retire_epoch: AtomicU64,
-    /// Contention-profiler accounting for the `meta` lock (and its
-    /// virtual-time watermark) and the per-tier store locks.
+    /// Contention-profiler accounting for the `meta` lock and its
+    /// virtual-time watermark.
     meta_stats: LockStats,
     meta_timeline: LockTimeline,
-    store_stats: LockStats,
 }
 
-/// Every blob id of `bucket`, as a key range of the (sorted) meta tree.
+/// Every blob id of `bucket`, as a key range of the (sorted) blob tree.
 fn bucket_range(bucket: u64) -> std::ops::RangeInclusive<BlobId> {
     BlobId::new(bucket, 0)..=BlobId::new(bucket, u64::MAX)
 }
@@ -167,22 +161,15 @@ impl Dmsh {
             .collect();
         let tiers = specs
             .into_iter()
-            .map(|spec| Tier {
-                device: DeviceModel::new(format!("{name}/{}", spec.kind.name()), spec),
-                store: Mutex::new(HashMap::new()),
-                store_timeline: LockTimeline::new(),
-            })
+            .map(|spec| DeviceModel::new(format!("{name}/{}", spec.kind.name()), spec))
             .collect();
-        let node_label = [("node", name.as_str())];
-        let meta_stats = telemetry.lock_stats(LockRank::DmshMeta, &node_label);
-        let store_stats = telemetry.lock_stats(LockRank::DmshStore, &node_label);
+        let meta_stats = telemetry.lock_stats(LockRank::DmshMeta, &[("node", name.as_str())]);
         let bytes_copied = telemetry.counter("runtime", "bytes_copied", &[]);
         Self {
             name,
             node,
             tiers,
             meta: Mutex::new(MetaState::default()),
-            bucket_qos: Mutex::new(HashMap::new()),
             telemetry,
             tier_metrics,
             bytes_copied,
@@ -190,7 +177,6 @@ impl Dmsh {
             retire_epoch: AtomicU64::new(0),
             meta_stats,
             meta_timeline: LockTimeline::new(),
-            store_stats,
         }
     }
 
@@ -214,7 +200,7 @@ impl Dmsh {
 
     /// Charge an I/O on tier `i`, applying any fail-slow factor in effect.
     fn tier_io(&self, i: usize, now: SimTime, bytes: u64) -> SimTime {
-        let done = self.tiers[i].device.io(now, bytes);
+        let done = self.tiers[i].io(now, bytes);
         if let Some((plan, node)) = self.fault_state() {
             let f = plan.tier_slow_factor(*node, i, now);
             if f > 1 {
@@ -238,7 +224,7 @@ impl Dmsh {
         if self.retire_epoch.load(Ordering::Acquire) >= epoch {
             return now;
         }
-        let (mut meta, _lo) = self.lock_meta_at(now);
+        let (mut st, _lo) = self.lock_meta_at(now);
         if self.retire_epoch.load(Ordering::Acquire) >= epoch {
             return now;
         }
@@ -248,9 +234,9 @@ impl Dmsh {
                 continue;
             }
             let ids: Vec<BlobId> =
-                meta.blobs.iter().filter(|(_, m)| m.tier == i).map(|(id, _)| *id).collect();
+                st.blobs.iter().filter(|(_, r)| r.meta.tier == i).map(|(id, _)| *id).collect();
             for id in ids {
-                match self.demote(&mut meta.blobs, now, id, None) {
+                match self.demote(&mut st, now, id, None) {
                     Ok(t) => done = done.max(t),
                     Err(_) => {
                         let labels = [("node", self.name.as_str())];
@@ -260,14 +246,13 @@ impl Dmsh {
             }
         }
         self.retire_epoch.store(epoch, Ordering::Release);
-        drop(meta);
+        drop(st);
         self.publish_occupancy();
         done
     }
 
-    /// Take the blob-metadata lock, registering it with the [`lockorder`]
-    /// layer (rank [`LockRank::DmshMeta`]; per-tier store locks nest under
-    /// it at [`LockRank::DmshStore`]).
+    /// Take the DMSH lock, registering it with the [`lockorder`] layer
+    /// (rank [`LockRank::DmshMeta`]).
     fn lock_meta(&self) -> (MutexGuard<'_, MetaState>, LockOrderToken) {
         let g = self.meta.lock();
         self.meta_stats.acquire_untimed();
@@ -282,17 +267,10 @@ impl Dmsh {
         (g, lockorder::acquired(LockRank::DmshMeta))
     }
 
-    /// Take tier `i`'s store lock, charging the contention profiler.
-    fn lock_store(&self, i: usize, now: SimTime) -> MutexGuard<'_, HashMap<BlobId, Bytes>> {
-        let g = self.tiers[i].store.lock();
-        self.store_stats.acquire(&self.tiers[i].store_timeline, now);
-        g
-    }
-
     /// Publish per-tier occupancy gauges (cheap: one store per tier).
     fn publish_occupancy(&self) {
         for (tier, m) in self.tiers.iter().zip(&self.tier_metrics) {
-            m.occupancy.set(tier.device.used());
+            m.occupancy.set(tier.used());
         }
     }
 
@@ -308,25 +286,22 @@ impl Dmsh {
 
     /// Device model of tier `i`.
     pub fn device(&self, i: usize) -> &DeviceModel {
-        &self.tiers[i].device
+        &self.tiers[i]
     }
 
     /// `(kind, used, capacity)` per tier.
     pub fn tier_usage(&self) -> Vec<(TierKind, u64, u64)> {
-        self.tiers
-            .iter()
-            .map(|t| (t.device.kind(), t.device.used(), t.device.spec().capacity))
-            .collect()
+        self.tiers.iter().map(|t| (t.kind(), t.used(), t.spec().capacity)).collect()
     }
 
     /// Total resident bytes.
     pub fn used(&self) -> u64 {
-        self.tiers.iter().map(|t| t.device.used()).sum()
+        self.tiers.iter().map(|t| t.used()).sum()
     }
 
     /// Metadata for a blob, if resident.
     pub fn meta_of(&self, id: BlobId) -> Option<BlobMeta> {
-        self.meta.lock().blobs.get(&id).copied()
+        self.meta.lock().blobs.get(&id).map(|r| r.meta)
     }
 
     /// Whether a blob is resident.
@@ -366,60 +341,60 @@ impl Dmsh {
             suffered: self.telemetry.counter("tenant", "scache_demotions_suffered", &labels),
             inflicted: self.telemetry.counter("tenant", "scache_demotions_inflicted", &labels),
         };
-        self.bucket_qos.lock().insert(bucket, qos);
-        // Separate critical section: `bucket_qos` is a leaf lock and must
-        // never be held while acquiring `meta` (demote nests the other way).
-        let (mut meta, _lo) = self.lock_meta();
-        for (_, m) in meta.blobs.range_mut(bucket_range(bucket)) {
-            m.priority = priority;
+        let (mut st, _lo) = self.lock_meta();
+        st.bucket_qos.insert(bucket, qos);
+        for (_, r) in st.blobs.range_mut(bucket_range(bucket)) {
+            r.meta.priority = priority;
         }
-    }
-
-    /// Retention priority of a bucket ([`DEFAULT_PRIORITY`] when untagged).
-    pub fn bucket_priority(&self, bucket: u64) -> u8 {
-        self.bucket_qos.lock().get(&bucket).map(|q| q.priority).unwrap_or(DEFAULT_PRIORITY)
     }
 
     /// Per-tier resident bytes of one bucket (tenant residency reporting;
-    /// not a hot path — walks the bucket's metadata range).
+    /// not a hot path — walks the bucket's key range).
     pub fn bucket_tier_usage(&self, bucket: u64) -> Vec<(TierKind, u64)> {
-        let mut out: Vec<(TierKind, u64)> =
-            self.tiers.iter().map(|t| (t.device.kind(), 0)).collect();
-        let meta = self.meta.lock();
-        for (_, m) in meta.blobs.range(bucket_range(bucket)) {
-            out[m.tier].1 += m.size;
+        let mut out: Vec<(TierKind, u64)> = self.tiers.iter().map(|t| (t.kind(), 0)).collect();
+        let st = self.meta.lock();
+        for (_, r) in st.blobs.range(bucket_range(bucket)) {
+            out[r.meta.tier].1 += r.meta.size;
         }
         out
-    }
-
-    /// Attribute one demotion: the victim's bucket suffered it; the
-    /// aggressor bucket (when different) inflicted it. Called with `meta`
-    /// held — `bucket_qos` is a leaf lock.
-    fn note_demotion(&self, victim: u64, by: Option<u64>) {
-        let qos = self.bucket_qos.lock();
-        if let Some(q) = qos.get(&victim) {
-            q.suffered.inc();
-        }
-        if let Some(b) = by.filter(|b| *b != victim) {
-            if let Some(q) = qos.get(&b) {
-                q.inflicted.inc();
-            }
-        }
     }
 
     /// Pick the victim: the lowest-priority, then lowest-score (tie-break:
     /// smallest id) blob on tier `tier_idx` — batch tenants are demoted
     /// before interactive ones regardless of score.
-    fn victim_on(&self, meta: &BTreeMap<BlobId, BlobMeta>, tier_idx: usize) -> Option<BlobId> {
-        meta.iter()
-            .filter(|(_, m)| m.tier == tier_idx)
-            .min_by(|(ia, ma), (ib, mb)| {
-                ma.priority
-                    .cmp(&mb.priority)
-                    .then(ma.score.partial_cmp(&mb.score).unwrap_or(std::cmp::Ordering::Equal))
+    fn victim_on(&self, blobs: &BTreeMap<BlobId, Record>, tier_idx: usize) -> Option<BlobId> {
+        blobs
+            .iter()
+            .filter(|(_, r)| r.meta.tier == tier_idx)
+            .min_by(|(ia, a), (ib, b)| {
+                a.meta
+                    .priority
+                    .cmp(&b.meta.priority)
+                    .then(
+                        a.meta
+                            .score
+                            .partial_cmp(&b.meta.score)
+                            .unwrap_or(std::cmp::Ordering::Equal),
+                    )
                     .then(ia.cmp(ib))
             })
             .map(|(id, _)| *id)
+    }
+
+    /// Move `id` to tier `to`: charge the read on its current tier and the
+    /// write on `to` starting at `now`, shift its capacity between the two
+    /// ledgers and update the record. The bytes stay where they are.
+    /// Returns the write's completion time, `Full` if `to` lacks the room.
+    fn move_to(&self, rec: &mut Record, now: SimTime, to: usize) -> Result<SimTime, DmshError> {
+        let m = &mut rec.meta;
+        self.tiers[to].alloc(m.size).map_err(|_| DmshError::Full { requested: m.size })?;
+        self.tiers[m.tier].free(m.size);
+        let read_done = self.tier_io(m.tier, now, m.size);
+        let write_done = self.tier_io(to, read_done, m.size);
+        m.tier = to;
+        m.tier_kind = self.tiers[to].kind();
+        m.ready_at = m.ready_at.max(write_done);
+        Ok(write_done)
     }
 
     /// Demote `id` from its tier to the next one down, charging both
@@ -429,12 +404,12 @@ impl Dmsh {
     /// Returns the completion time.
     fn demote(
         &self,
-        meta: &mut BTreeMap<BlobId, BlobMeta>,
+        st: &mut MetaState,
         now: SimTime,
         id: BlobId,
         by: Option<u64>,
     ) -> Result<SimTime, DmshError> {
-        let m = *meta.get(&id).ok_or(DmshError::NotFound(id))?;
+        let m = st.blobs.get(&id).ok_or(DmshError::NotFound(id))?.meta;
         let from = m.tier;
         // Demote to the next *healthy* tier down — a retired device cannot
         // accept evacuees.
@@ -447,64 +422,34 @@ impl Dmsh {
         }
         let mut done = now;
         // Make room below first (cascading demotion).
-        while self.tiers[to].device.available() < m.size {
-            let victim = self.victim_on(meta, to).ok_or(DmshError::Full { requested: m.size })?;
-            done = done.max(self.demote(meta, now, victim, by)?);
+        while self.tiers[to].available() < m.size {
+            let victim =
+                self.victim_on(&st.blobs, to).ok_or(DmshError::Full { requested: m.size })?;
+            done = done.max(self.demote(st, now, victim, by)?);
         }
-        // Move the bytes.
-        let data = self
-            .lock_store(from, now)
-            .remove(&id)
-            .ok_or(DmshError::Internal("meta/store disagree on residency"))?;
-        let read_done = self.tier_io(from, now, m.size);
-        let write_done = self.tier_io(to, read_done, m.size);
-        if self.tiers[to].device.alloc(m.size).is_err() {
-            // The space made above vanished (a bug): undo and bail.
-            self.tiers[from].store.lock().insert(id, data);
-            return Err(DmshError::Internal("demotion target lost its freed space"));
-        }
-        self.tiers[from].device.free(m.size);
-        self.lock_store(to, read_done).insert(id, data);
-        let entry =
-            meta.get_mut(&id).ok_or(DmshError::Internal("blob vanished during demotion"))?;
-        entry.tier = to;
-        entry.tier_kind = self.tiers[to].device.kind();
-        entry.ready_at = entry.ready_at.max(write_done);
+        let rec = st.blobs.get_mut(&id).ok_or(DmshError::NotFound(id))?;
+        let write_done = self.move_to(rec, now, to)?;
         self.tier_metrics[from].demotions.inc();
-        self.note_demotion(id.bucket, by);
+        // The victim's bucket suffered the demotion; the aggressor bucket
+        // (when different) inflicted it.
+        if let Some(q) = st.bucket_qos.get(&id.bucket) {
+            q.suffered.inc();
+        }
+        if let Some(q) = by.filter(|b| *b != id.bucket).and_then(|b| st.bucket_qos.get(&b)) {
+            q.inflicted.inc();
+        }
         self.telemetry.span(EventKind::Demotion, now, write_done, self.node, m.size, id.blob);
         Ok(done.max(write_done))
     }
 
     /// Promote `id` one tier up (used by `organize` for hot blobs).
-    fn promote(
-        &self,
-        meta: &mut BTreeMap<BlobId, BlobMeta>,
-        now: SimTime,
-        id: BlobId,
-    ) -> Option<SimTime> {
-        let m = *meta.get(&id)?;
-        if m.tier == 0 {
+    fn promote(&self, st: &mut MetaState, now: SimTime, id: BlobId) -> Option<SimTime> {
+        let rec = st.blobs.get_mut(&id)?;
+        let m = rec.meta;
+        if m.tier == 0 || self.is_retired(m.tier - 1, now) {
             return None;
         }
-        let to = m.tier - 1;
-        if self.is_retired(to, now) || self.tiers[to].device.available() < m.size {
-            return None;
-        }
-        let data = self.lock_store(m.tier, now).remove(&id)?;
-        let read_done = self.tier_io(m.tier, now, m.size);
-        let write_done = self.tier_io(to, read_done, m.size);
-        if self.tiers[to].device.alloc(m.size).is_err() {
-            // The headroom checked above vanished (a bug): undo and skip.
-            self.tiers[m.tier].store.lock().insert(id, data);
-            return None;
-        }
-        self.tiers[m.tier].device.free(m.size);
-        self.lock_store(to, read_done).insert(id, data);
-        let entry = meta.get_mut(&id)?;
-        entry.tier = to;
-        entry.tier_kind = self.tiers[to].device.kind();
-        entry.ready_at = entry.ready_at.max(write_done);
+        let write_done = self.move_to(rec, now, m.tier - 1).ok()?;
         self.tier_metrics[m.tier].promotions.inc();
         self.telemetry.span(EventKind::Promotion, now, write_done, self.node, m.size, id.blob);
         Some(write_done)
@@ -526,9 +471,9 @@ impl Dmsh {
         dirty: bool,
     ) -> Result<PutOutcome, DmshError> {
         let size = data.len() as u64;
-        // Resolve tenant priority before taking `meta` (qos is a leaf lock).
-        let prio = self.bucket_priority(id.bucket);
-        let (mut meta, _lo) = self.lock_meta_at(now);
+        let (mut guard, _lo) = self.lock_meta_at(now);
+        let st = &mut *guard;
+        let prio = st.bucket_qos.get(&id.bucket).map_or(DEFAULT_PRIORITY, |q| q.priority);
         // A dirty placement hands over bytes the backend has never seen:
         // the whole extent is owed, whatever was recorded before.
         let owed = (dirty && size > 0).then(|| {
@@ -538,27 +483,25 @@ impl Dmsh {
         });
         // Overwrite in place if resident and same size — unless the blob
         // sits on a retired device, in which case re-place it.
-        if let Some(m) = meta.blobs.get(&id).copied() {
-            if m.size == size && !self.is_retired(m.tier, now) {
-                let done = self.tier_io(m.tier, now, size);
-                self.lock_store(m.tier, now).insert(id, data);
-                let e = meta
-                    .blobs
-                    .get_mut(&id)
-                    .ok_or(DmshError::Internal("blob vanished during overwrite"))?;
+        if let Some(rec) = st.blobs.get_mut(&id) {
+            if rec.meta.size == size && !self.is_retired(rec.meta.tier, now) {
+                let done = self.tier_io(rec.meta.tier, now, size);
+                rec.data = data;
+                let e = &mut rec.meta;
                 e.score = score;
                 e.priority = prio;
                 e.score_node = node;
                 e.scored_at = now;
                 e.ready_at = e.ready_at.max(done);
+                let tier = e.tier_kind;
                 if let Some(owed) = owed {
-                    meta.dirty.insert(id, owed);
+                    st.dirty.insert(id, owed);
                 }
                 self.publish_occupancy();
-                return Ok(PutOutcome { done_at: done, tier: m.tier_kind });
+                return Ok(PutOutcome { done_at: done, tier });
             }
             // Size changed: drop and re-place.
-            self.remove_locked(&mut meta, id);
+            self.remove_locked(st, id);
         }
         let mut done = now;
         let mut target = None;
@@ -566,96 +509,59 @@ impl Dmsh {
             if self.is_retired(i, now) {
                 continue;
             }
-            if tier.device.available() >= size {
-                target = Some(i);
-                break;
-            }
-            // Try to make room by demoting lower-ranked blobs: a newcomer
-            // displaces residents its tenant outranks, and among equals the
-            // score decides — never the other way around.
-            while let Some(victim) = self.victim_on(&meta.blobs, i) {
-                let vm = meta.blobs[&victim];
-                if vm.priority > prio || (vm.priority == prio && vm.score >= score) {
-                    break; // residents outrank the newcomer; go down a tier
-                }
-                match self.demote(&mut meta.blobs, now, victim, Some(id.bucket)) {
-                    Ok(t) => {
-                        done = done.max(t);
-                        if tier.device.available() >= size {
-                            break;
-                        }
+            if tier.alloc(size).is_err() {
+                // Try to make room by demoting lower-ranked blobs: a
+                // newcomer displaces residents its tenant outranks, and
+                // among equals the score decides — never the other way
+                // around.
+                while let Some(victim) = self.victim_on(&st.blobs, i) {
+                    let vm = st.blobs[&victim].meta;
+                    if vm.priority > prio || (vm.priority == prio && vm.score >= score) {
+                        break; // residents outrank the newcomer; go down a tier
                     }
-                    Err(_) => break,
+                    match self.demote(st, now, victim, Some(id.bucket)) {
+                        Ok(t) => {
+                            done = done.max(t);
+                            if tier.available() >= size {
+                                break;
+                            }
+                        }
+                        Err(_) => break,
+                    }
+                }
+                if tier.alloc(size).is_err() {
+                    continue;
                 }
             }
-            if tier.device.available() >= size {
-                target = Some(i);
-                break;
-            }
+            target = Some(i);
+            break;
         }
-        let Some(t) = target else {
-            return Err(DmshError::Full { requested: size });
-        };
-        if self.tiers[t].device.alloc(size).is_err() {
-            return Err(DmshError::Internal("tier lost capacity between check and alloc"));
-        }
+        let t = target.ok_or(DmshError::Full { requested: size })?;
         let io_done = self.tier_io(t, done, size);
-        self.lock_store(t, done).insert(id, data);
-        meta.blobs.insert(
-            id,
-            BlobMeta {
-                tier: t,
-                tier_kind: self.tiers[t].device.kind(),
-                size,
-                score,
-                priority: prio,
-                score_node: node,
-                scored_at: now,
-                ready_at: io_done,
-            },
-        );
+        let tier_kind = self.tiers[t].kind();
+        let meta = BlobMeta {
+            tier: t,
+            tier_kind,
+            size,
+            score,
+            priority: prio,
+            score_node: node,
+            scored_at: now,
+            ready_at: io_done,
+        };
+        st.blobs.insert(id, Record { meta, data });
         if let Some(owed) = owed {
-            meta.dirty.insert(id, owed);
+            st.dirty.insert(id, owed);
         }
         self.publish_occupancy();
-        Ok(PutOutcome { done_at: io_done, tier: self.tiers[t].device.kind() })
+        Ok(PutOutcome { done_at: io_done, tier: tier_kind })
     }
 
     /// Read a whole blob; returns the bytes and the virtual completion time
-    /// of the read (which waits for any in-flight write to the blob).
+    /// of the read (which waits for any in-flight write to the blob). The
+    /// untraced whole-blob form of [`get_range`](Self::get_range).
     pub fn get(&self, now: SimTime, id: BlobId) -> Result<(Bytes, SimTime), DmshError> {
-        self.get_traced(now, id, TraceCtx::NONE)
-    }
-
-    /// [`get`](Self::get) recording a [`Stage::TierRead`] span under `ctx`
-    /// (labelled with the tier the blob currently resides on).
-    pub fn get_traced(
-        &self,
-        now: SimTime,
-        id: BlobId,
-        ctx: TraceCtx,
-    ) -> Result<(Bytes, SimTime), DmshError> {
-        let (meta, _lo) = self.lock_meta_at(now);
-        let m = *meta.blobs.get(&id).ok_or(DmshError::NotFound(id))?;
-        let start = now.max(m.ready_at);
-        let done = self.tier_io(m.tier, start, m.size);
-        let data = self
-            .lock_store(m.tier, start)
-            .get(&id)
-            .cloned()
-            .ok_or(DmshError::Internal("meta/store disagree on residency"))?;
-        drop(meta);
-        self.telemetry.trace_child(
-            ctx,
-            Stage::TierRead,
-            start,
-            done,
-            self.node,
-            m.size,
-            m.tier_kind.name(),
-            id.blob,
-        );
-        Ok((data, done))
+        self.get_range(now, id, 0, u64::MAX, TraceCtx::NONE)
     }
 
     /// [`put`](Self::put) recording a [`Stage::TierWrite`] span under `ctx`
@@ -686,105 +592,106 @@ impl Dmsh {
         Ok(out)
     }
 
-    /// [`put_range`](Self::put_range) recording a [`Stage::TierWrite`] span.
-    pub fn put_range_traced(
-        &self,
-        now: SimTime,
-        id: BlobId,
-        off: u64,
-        patch: &[u8],
-        ctx: TraceCtx,
-    ) -> Result<SimTime, DmshError> {
-        let done = self.put_range(now, id, off, patch)?;
-        if !ctx.is_none() {
-            let tier =
-                self.meta.lock().blobs.get(&id).map(|m| m.tier_kind.name()).unwrap_or("unknown");
-            self.telemetry.trace_child(
-                ctx,
-                Stage::TierWrite,
-                now,
-                done,
-                self.node,
-                patch.len() as u64,
-                tier,
-                id.blob,
-            );
-        }
-        Ok(done)
-    }
-
-    /// Read a sub-range of a blob — **partial paging**: only the requested
-    /// fragment is charged to the device ("MegaMmap pages [can] contain
-    /// only the fragments of data needed during a page fault").
+    /// Read `[off, off + len)` of a blob (clipped to its size) as a view
+    /// sharing the stored allocation — **partial paging**: only the
+    /// requested fragment is charged to the device ("MegaMmap pages [can]
+    /// contain only the fragments of data needed during a page fault"), and
+    /// the whole blob (`0, u64::MAX`) is just the widest extent. The read
+    /// waits for any in-flight write to the blob and lands as a
+    /// [`Stage::TierRead`] span under `ctx`, labelled with the blob's tier.
     pub fn get_range(
         &self,
         now: SimTime,
         id: BlobId,
         off: u64,
         len: u64,
+        ctx: TraceCtx,
     ) -> Result<(Bytes, SimTime), DmshError> {
-        let (meta, _lo) = self.lock_meta_at(now);
-        let m = *meta.blobs.get(&id).ok_or(DmshError::NotFound(id))?;
+        let (st, _lo) = self.lock_meta_at(now);
+        let rec = st.blobs.get(&id).ok_or(DmshError::NotFound(id))?;
+        let m = rec.meta;
         let start = now.max(m.ready_at);
-        let end = (off + len).min(m.size);
         let off = off.min(m.size);
+        let end = off.saturating_add(len).min(m.size);
         let done = self.tier_io(m.tier, start, end - off);
-        let data = self
-            .lock_store(m.tier, start)
-            .get(&id)
-            .cloned()
-            .ok_or(DmshError::Internal("meta/store disagree on residency"))?;
-        Ok((data.slice(off as usize..end as usize), done))
+        let data = rec.data.slice(off as usize..end as usize);
+        drop(st);
+        self.telemetry.trace_child(
+            ctx,
+            Stage::TierRead,
+            start,
+            done,
+            self.node,
+            end - off,
+            m.tier_kind.name(),
+            id.blob,
+        );
+        Ok((data, done))
     }
 
-    /// Overwrite a sub-range of a resident blob (applying a page diff).
+    /// Apply a page diff: overwrite each of `ranges` of a resident blob
+    /// with the same offsets of `image`, in one critical section, and
+    /// record them as owed to the backend. Errors with
+    /// [`DmshError::NotFound`] when the blob is not resident (the caller
+    /// installs it instead). A range past the blob's end grows it; the
+    /// zero-filled gap below such a range stays clean.
     ///
     /// When this Dmsh holds the only reference to the blob's buffer the
-    /// allocation is stolen and patched in place; a physical copy happens
-    /// only while readers still share the buffer, and is then charged to
-    /// the `runtime.bytes_copied` counter.
-    pub fn put_range(
+    /// allocation is patched in place; a physical copy happens only while
+    /// readers still share the buffer, and is then charged to the
+    /// `runtime.bytes_copied` counter. Lands as one [`Stage::TierWrite`]
+    /// span under `ctx`.
+    pub fn put_ranges(
         &self,
         now: SimTime,
         id: BlobId,
-        off: u64,
-        patch: &[u8],
+        image: &[u8],
+        ranges: &RangeSet,
+        ctx: TraceCtx,
     ) -> Result<SimTime, DmshError> {
-        let (mut state, _lo) = self.lock_meta_at(now);
-        let MetaState { blobs, dirty } = &mut *state;
-        let m = blobs.get_mut(&id).ok_or(DmshError::NotFound(id))?;
-        let mut store = self.lock_store(m.tier, now);
-        let _lo_store = lockorder::acquired(LockRank::DmshStore);
-        let cur =
-            store.remove(&id).ok_or(DmshError::Internal("meta/store disagree on residency"))?;
-        let mut buf = match cur.try_into_vec() {
+        let (mut st, _lo) = self.lock_meta_at(now);
+        let MetaState { blobs, dirty, .. } = &mut *st;
+        let rec = blobs.get_mut(&id).ok_or(DmshError::NotFound(id))?;
+        if ranges.is_empty() {
+            return Ok(now);
+        }
+        let mut buf = match std::mem::take(&mut rec.data).try_into_vec() {
             Ok(v) => v,
             Err(shared) => {
                 self.bytes_copied.add(shared.len() as u64);
                 shared.to_vec()
             }
         };
-        let end = off as usize + patch.len();
-        if end > buf.len() {
-            buf.resize(end, 0);
-            self.tiers[m.tier].device.free(m.size);
-            // Growth may overshoot the tier; allow it (organize will fix).
-            self.tiers[m.tier].device.alloc(buf.len() as u64).ok();
-            m.size = buf.len() as u64;
+        let m = &mut rec.meta;
+        let owed = dirty.entry(id).or_default();
+        let mut done = now;
+        for (s, e) in ranges.iter() {
+            if e > m.size {
+                // Growth may overshoot the tier; allow it (organize will fix).
+                self.tiers[m.tier].ledger().alloc_over(e - m.size);
+                buf.resize(e as usize, 0);
+                m.size = e;
+            }
+            buf[s as usize..e as usize].copy_from_slice(&image[s as usize..e as usize]);
+            owed.insert(s, e);
+            // Each range queues behind the one before it.
+            done = self.tier_io(m.tier, now.max(m.ready_at), e - s);
+            m.ready_at = done;
         }
-        buf[off as usize..end].copy_from_slice(patch);
-        store.insert(id, Bytes::from(buf));
-        let start = now.max(m.ready_at);
-        let done = self.tier_io(m.tier, start, patch.len() as u64);
-        // Only the patch is owed to the backend: bytes a growing patch
-        // zero-filled below `off` stay clean.
-        if !patch.is_empty() {
-            dirty.entry(id).or_default().insert(off, end as u64);
-        }
-        m.ready_at = done;
-        drop(store);
-        drop(state);
+        rec.data = Bytes::from(buf);
+        let tier = m.tier_kind.name();
+        drop(st);
         self.publish_occupancy();
+        self.telemetry.trace_child(
+            ctx,
+            Stage::TierWrite,
+            now,
+            done,
+            self.node,
+            ranges.covered(),
+            tier,
+            id.blob,
+        );
         Ok(done)
     }
 
@@ -792,7 +699,8 @@ impl Dmsh {
     /// scores if several processes score the same page within a
     /// configurable timeframe" — pass `window_ns` for that merge rule.
     pub fn rescore(&self, now: SimTime, id: BlobId, score: f32, node: usize, window_ns: u64) {
-        if let Some(m) = self.meta.lock().blobs.get_mut(&id) {
+        if let Some(r) = self.meta.lock().blobs.get_mut(&id) {
+            let m = &mut r.meta;
             let within_window = now.saturating_sub(m.scored_at) <= window_ns;
             if !within_window || score > m.score {
                 m.score = if within_window { m.score.max(score) } else { score };
@@ -802,12 +710,11 @@ impl Dmsh {
         }
     }
 
-    fn remove_locked(&self, meta: &mut MetaState, id: BlobId) -> Option<Bytes> {
-        meta.dirty.remove(&id);
-        let m = meta.blobs.remove(&id)?;
-        let data = self.tiers[m.tier].store.lock().remove(&id);
-        self.tiers[m.tier].device.free(m.size);
-        data
+    fn remove_locked(&self, st: &mut MetaState, id: BlobId) -> Option<Bytes> {
+        st.dirty.remove(&id);
+        let rec = st.blobs.remove(&id)?;
+        self.tiers[rec.meta.tier].free(rec.meta.size);
+        Some(rec.data)
     }
 
     /// Remove a blob entirely; returns its bytes if it was resident.
@@ -823,14 +730,13 @@ impl Dmsh {
     /// is gone; recovery restores nonvolatile data from backends and the
     /// intent journal. Returns the number of blobs lost.
     pub fn wipe(&self) -> usize {
-        let (mut meta, _lo) = self.lock_meta();
-        let lost = meta.blobs.len();
-        meta.dirty.clear();
-        for (id, m) in std::mem::take(&mut meta.blobs) {
-            self.tiers[m.tier].store.lock().remove(&id);
-            self.tiers[m.tier].device.free(m.size);
+        let (mut st, _lo) = self.lock_meta();
+        let lost = st.blobs.len();
+        st.dirty.clear();
+        for rec in std::mem::take(&mut st.blobs).into_values() {
+            self.tiers[rec.meta.tier].free(rec.meta.size);
         }
-        drop(meta);
+        drop(st);
         self.publish_occupancy();
         lost
     }
@@ -838,11 +744,11 @@ impl Dmsh {
     /// Remove every blob of a bucket; returns the count.
     pub fn remove_bucket(&self, bucket: u64) -> usize {
         let ids = self.blobs_of(bucket);
-        let mut meta = self.meta.lock();
+        let mut st = self.meta.lock();
         for id in &ids {
-            self.remove_locked(&mut meta, *id);
+            self.remove_locked(&mut st, *id);
         }
-        drop(meta);
+        drop(st);
         self.publish_occupancy();
         ids.len()
     }
@@ -852,15 +758,14 @@ impl Dmsh {
     /// highest-score blobs upward into free space. Returns the completion
     /// time of the reorganization I/O.
     pub fn organize(&self, now: SimTime, watermark: f64) -> SimTime {
-        let (mut meta, _lo) = self.lock_meta_at(now);
+        let (mut st, _lo) = self.lock_meta_at(now);
         let mut done = now;
         // Demotion: fastest tier first.
         for i in 0..self.tiers.len().saturating_sub(1) {
-            let cap = self.tiers[i].device.spec().capacity;
-            let limit = (cap as f64 * watermark) as u64;
-            while self.tiers[i].device.used() > limit {
-                let Some(victim) = self.victim_on(&meta.blobs, i) else { break };
-                match self.demote(&mut meta.blobs, now, victim, None) {
+            let limit = (self.tiers[i].spec().capacity as f64 * watermark) as u64;
+            while self.tiers[i].used() > limit {
+                let Some(victim) = self.victim_on(&st.blobs, i) else { break };
+                match self.demote(&mut st, now, victim, None) {
                     Ok(t) => done = done.max(t),
                     Err(_) => break,
                 }
@@ -870,34 +775,36 @@ impl Dmsh {
         // the faster tier has headroom below the watermark.
         for i in (1..self.tiers.len()).rev() {
             loop {
-                let above = &self.tiers[i - 1].device;
+                let above = &self.tiers[i - 1];
                 let limit = (above.spec().capacity as f64 * watermark) as u64;
-                let hot = meta
+                let hot = st
                     .blobs
                     .iter()
-                    .filter(|(_, m)| m.tier == i && m.score > 0.5)
-                    .max_by(|(ia, ma), (ib, mb)| {
-                        ma.priority
-                            .cmp(&mb.priority)
+                    .filter(|(_, r)| r.meta.tier == i && r.meta.score > 0.5)
+                    .max_by(|(ia, a), (ib, b)| {
+                        a.meta
+                            .priority
+                            .cmp(&b.meta.priority)
                             .then(
-                                ma.score
-                                    .partial_cmp(&mb.score)
+                                a.meta
+                                    .score
+                                    .partial_cmp(&b.meta.score)
                                     .unwrap_or(std::cmp::Ordering::Equal),
                             )
                             .then(ib.cmp(ia))
                     })
-                    .map(|(id, m)| (*id, m.size));
+                    .map(|(id, r)| (*id, r.meta.size));
                 let Some((id, size)) = hot else { break };
                 if above.used() + size > limit {
                     break;
                 }
-                match self.promote(&mut meta.blobs, now, id) {
+                match self.promote(&mut st, now, id) {
                     Some(t) => done = done.max(t),
                     None => break,
                 }
             }
         }
-        drop(meta);
+        drop(st);
         self.publish_occupancy();
         done
     }
@@ -917,6 +824,17 @@ mod tests {
 
     fn blob(n: usize) -> Bytes {
         Bytes::from(vec![0xAB; n])
+    }
+
+    /// A page image of `len` bytes carrying `fill` over each of `ranges`.
+    fn diff(len: usize, ranges: &[(u64, u64)], fill: u8) -> (Vec<u8>, RangeSet) {
+        let mut image = vec![0u8; len];
+        let mut set = RangeSet::new();
+        for &(s, e) in ranges {
+            image[s as usize..e as usize].fill(fill);
+            set.insert(s, e);
+        }
+        (image, set)
     }
 
     #[test]
@@ -993,17 +911,24 @@ mod tests {
         let id = BlobId::new(1, 0);
         d.put(0, id, blob(512 * 1024), 1.0, 0, false).unwrap();
         let t0 = d.device(0).timeline().total_bytes();
-        let (frag, _) = d.get_range(d.meta_of(id).unwrap().ready_at, id, 1000, 64).unwrap();
+        let ready = d.meta_of(id).unwrap().ready_at;
+        let (frag, _) = d.get_range(ready, id, 1000, 64, TraceCtx::NONE).unwrap();
         assert_eq!(frag.len(), 64);
         assert_eq!(d.device(0).timeline().total_bytes() - t0, 64);
+        // A window hanging over the end is clipped; one past it is empty.
+        let (tail, _) = d.get_range(ready, id, 512 * 1024 - 8, 64, TraceCtx::NONE).unwrap();
+        assert_eq!(tail.len(), 8);
+        let (none, _) = d.get_range(ready, id, 1 << 30, 64, TraceCtx::NONE).unwrap();
+        assert!(none.is_empty());
     }
 
     #[test]
-    fn put_range_patches_and_dirties() {
+    fn put_ranges_patches_and_dirties() {
         let d = dmsh(MIB, MIB, MIB);
         let id = BlobId::new(2, 0);
         d.put(0, id, Bytes::from(vec![0u8; 64]), 1.0, 0, false).unwrap();
-        d.put_range(0, id, 10, &[9, 9, 9]).unwrap();
+        let (image, ranges) = diff(64, &[(10, 13)], 9);
+        d.put_ranges(0, id, &image, &ranges, TraceCtx::NONE).unwrap();
         let (got, _) = d.get(1_000_000_000, id).unwrap();
         assert_eq!(&got[10..13], &[9, 9, 9]);
         assert_eq!(&got[..10], &[0u8; 10]);
@@ -1014,6 +939,29 @@ mod tests {
         d.mark_clean(id);
         assert!(d.dirty_blobs_of(2).is_empty());
         assert_eq!(d.dirty_blobs_of(3), vec![BlobId::new(3, 0)]);
+    }
+
+    #[test]
+    fn a_commit_is_one_critical_section_and_absent_blobs_are_not_found() {
+        let tel = Telemetry::new();
+        let d = Dmsh::with_telemetry("one", vec![DeviceSpec::dram(MIB)], tel.clone(), 0);
+        let id = BlobId::new(1, 0);
+        let (image, ranges) = diff(64, &[(0, 4), (16, 24), (60, 64)], 7);
+        let absent = d.put_ranges(0, id, &image, &ranges, TraceCtx::NONE);
+        assert_eq!(absent, Err(DmshError::NotFound(id)));
+        d.put(0, id, Bytes::from(vec![1u8; 64]), 1.0, 0, false).unwrap();
+        let locks = |t: &Telemetry| t.counter_total("lock", "acquisitions");
+        let before = locks(&tel);
+        let done = d.put_ranges(10, id, &image, &ranges, TraceCtx::NONE).unwrap();
+        assert_eq!(locks(&tel) - before, 1, "three ranges, one lock acquisition");
+        // The ranges queue behind one another on the tier: the blob is
+        // ready when the last one lands.
+        assert_eq!(d.meta_of(id).unwrap().ready_at, done);
+        assert_eq!(d.dirty_ranges(id).unwrap().ranges(), &[(0, 4), (16, 24), (60, 64)]);
+        let (got, _) = d.get(done, id).unwrap();
+        assert_eq!(&got[..4], &[7; 4]);
+        assert_eq!(&got[4..16], &[1; 12]);
+        assert_eq!(&got[60..], &[7; 4]);
     }
 
     #[test]
@@ -1169,10 +1117,13 @@ mod tests {
         let d = dmsh(2048, MIB, MIB);
         d.put(0, BlobId::new(1, 0), blob(100), 0.5, 0, false).unwrap();
         assert_eq!(d.meta_of(BlobId::new(1, 0)).unwrap().priority, 1);
-        assert_eq!(d.bucket_priority(1), 1, "untagged buckets default to batch priority");
         d.set_bucket_qos(1, 2, "web");
-        assert_eq!(d.bucket_priority(1), 2);
         assert_eq!(d.meta_of(BlobId::new(1, 0)).unwrap().priority, 2);
+        // Later placements of the bucket adopt it; untagged buckets stay batch.
+        d.put(0, BlobId::new(1, 1), blob(100), 0.5, 0, false).unwrap();
+        d.put(0, BlobId::new(2, 0), blob(100), 0.5, 0, false).unwrap();
+        assert_eq!(d.meta_of(BlobId::new(1, 1)).unwrap().priority, 2);
+        assert_eq!(d.meta_of(BlobId::new(2, 0)).unwrap().priority, DEFAULT_PRIORITY);
     }
 
     #[test]

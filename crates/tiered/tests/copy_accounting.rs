@@ -1,6 +1,6 @@
 //! Regression tests for copy accounting on the CoW patch path.
 //!
-//! `Dmsh::put_range` must own the page bytes to apply a patch. When the
+//! `Dmsh::put_ranges` must own the page bytes to apply a patch. When the
 //! stored `Bytes` is the sole handle it steals the allocation (zero-copy);
 //! when a reader still holds a view it must copy — and every such copied
 //! byte must land in the `runtime.bytes_copied` counter, or the zero-copy
@@ -11,6 +11,9 @@ use bytes::Bytes;
 use megammap_sim::DeviceSpec;
 use megammap_telemetry::Telemetry;
 use megammap_tiered::{BlobId, Dmsh};
+
+mod common;
+use common::patch;
 
 const PAGE: usize = 64;
 
@@ -25,7 +28,7 @@ fn fixture() -> (Telemetry, Dmsh, BlobId) {
 #[test]
 fn unique_page_patch_steals_without_copying() {
     let (t, d, id) = fixture();
-    d.put_range(10, id, 0, &[9u8; 8]).unwrap();
+    patch(&d, 10, id, &[(0, 8)], 9).unwrap();
     assert_eq!(
         t.counter_total("runtime", "bytes_copied"),
         0,
@@ -39,9 +42,9 @@ fn unique_page_patch_steals_without_copying() {
 fn shared_page_patch_copies_and_counts_every_byte() {
     let (t, d, id) = fixture();
     // A reader keeps a second handle on the stored Bytes alive across the
-    // patch: put_range cannot steal and must fall back to a full copy.
+    // patch: put_ranges cannot steal and must fall back to a full copy.
     let (held, _) = d.get(20, id).unwrap();
-    d.put_range(30, id, 8, &[7u8; 8]).unwrap();
+    patch(&d, 30, id, &[(8, 16)], 7).unwrap();
     assert_eq!(
         t.counter_total("runtime", "bytes_copied"),
         PAGE as u64,
@@ -58,13 +61,13 @@ fn shared_page_patch_copies_and_counts_every_byte() {
 fn copy_accounting_stops_once_the_handle_is_dropped() {
     let (t, d, id) = fixture();
     let (held, _) = d.get(20, id).unwrap();
-    d.put_range(30, id, 0, &[3u8; 4]).unwrap();
+    patch(&d, 30, id, &[(0, 4)], 3).unwrap();
     assert_eq!(t.counter_total("runtime", "bytes_copied"), PAGE as u64);
     drop(held);
     // The copied-in replacement buffer is unique again: further patches
     // steal, and the counter stays put.
-    d.put_range(40, id, 4, &[4u8; 4]).unwrap();
-    d.put_range(50, id, 8, &[5u8; 4]).unwrap();
+    patch(&d, 40, id, &[(4, 8)], 4).unwrap();
+    patch(&d, 50, id, &[(8, 12)], 5).unwrap();
     assert_eq!(
         t.counter_total("runtime", "bytes_copied"),
         PAGE as u64,

@@ -5,13 +5,22 @@
 //! — after every kind of mutation, including the ones that move or drop
 //! blobs behind the caller's back (demotion under a full tier, `organize`,
 //! a size-changing re-`put`).
+//!
+//! A resident blob is one record — placement, size and bytes under one
+//! lock — so the same walk pins what used to be five "meta and store
+//! disagree" error paths: every tier's ledger holds exactly the sizes of the
+//! records placed on it, and `get` returns the model's bytes wherever the
+//! organizer moved them.
 
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use megammap_sim::{DeviceSpec, MIB};
-use megammap_tiered::{BlobId, Dmsh};
+use megammap_tiered::{BlobId, Dmsh, DmshError};
 use proptest::prelude::*;
+
+mod common;
+use common::patch;
 
 /// What a blob holds and which of its bytes are owed to the backend.
 #[derive(Debug, Clone, Default)]
@@ -44,6 +53,7 @@ fn dmsh() -> Dmsh {
 }
 
 fn check(d: &Dmsh, model: &BTreeMap<BlobId, ModelBlob>) -> Result<(), String> {
+    let mut placed = vec![0u64; d.num_tiers()];
     for bucket in 0..BUCKETS {
         let want: Vec<BlobId> = model
             .iter()
@@ -67,6 +77,7 @@ fn check(d: &Dmsh, model: &BTreeMap<BlobId, ModelBlob>) -> Result<(), String> {
             match (d.meta_of(id), model.get(&id)) {
                 (None, None) => {}
                 (Some(meta), Some(m)) => {
+                    placed[meta.tier] += meta.size;
                     let (bytes, _) = d.get(u64::MAX / 2, id).map_err(|e| e.to_string())?;
                     if meta.size != m.data.len() as u64 || bytes[..] != m.data[..] {
                         return Err(format!("{id}: contents differ from the model"));
@@ -85,17 +96,23 @@ fn check(d: &Dmsh, model: &BTreeMap<BlobId, ModelBlob>) -> Result<(), String> {
             }
         }
     }
+    for (tier, want) in placed.into_iter().enumerate() {
+        let used = d.device(tier).used();
+        if used != want {
+            return Err(format!("tier {tier}: ledger holds {used}, its records sum to {want}"));
+        }
+    }
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random `put` / `put_range` / `mark_clean` / `remove` / `remove_bucket`
+    /// Random `put` / `put_ranges` / `mark_clean` / `remove` / `remove_bucket`
     /// / `wipe` / `organize` sequences (puts into a DRAM tier that is nearly
     /// always full, so they demote): the dirty set, every blob's ranges, the
-    /// `dirty_blobs_of` order and the contents agree with the model after
-    /// every step.
+    /// `dirty_blobs_of` order, the contents and every tier's ledger agree
+    /// with the model after every step.
     #[test]
     fn dirty_index_matches_model(
         ops in proptest::collection::vec(
@@ -126,20 +143,27 @@ proptest! {
                         entry.dirty = vec![false; size];
                     }
                 }
-                // put_range: `b` bytes at `a` — may start past the end.
+                // put_ranges: `b` bytes at `a` — may start past the end —
+                // and, with `flag`, the first four bytes in the same commit.
                 5..=9 => {
-                    let (off, len) = (a as usize, b as usize);
-                    let res = d.put_range(now, id, a, &vec![fill; len]);
+                    let mut ranges = vec![(a, a + b)];
+                    if flag {
+                        ranges.push((0, 4));
+                    }
+                    let res = patch(&d, now, id, &ranges, fill);
                     match model.get_mut(&id) {
-                        None => prop_assert!(res.is_err(), "patching an absent blob must fail"),
+                        None => prop_assert_eq!(res, Err(DmshError::NotFound(id))),
                         Some(m) => {
                             prop_assert!(res.is_ok());
-                            if off + len > m.data.len() {
-                                m.data.resize(off + len, 0);
-                                m.dirty.resize(off + len, false);
+                            for (s, e) in ranges.into_iter().filter(|r| r.0 < r.1) {
+                                let (s, e) = (s as usize, e as usize);
+                                if e > m.data.len() {
+                                    m.data.resize(e, 0);
+                                    m.dirty.resize(e, false);
+                                }
+                                m.data[s..e].fill(fill);
+                                m.dirty[s..e].fill(true);
                             }
-                            m.data[off..off + len].fill(fill);
-                            m.dirty[off..off + len].fill(true);
                         }
                     }
                 }
@@ -173,19 +197,19 @@ proptest! {
 }
 
 #[test]
-fn overgrowing_put_range_keeps_the_gap_clean() {
+fn overgrowing_patch_keeps_the_gap_clean() {
     let d = dmsh();
     let id = BlobId::new(1, 0);
     d.put(0, id, Bytes::from(vec![7u8; 16]), 0.5, 0, false).unwrap();
     // The patch lands 24 bytes past the end: [16, 40) is zero-filled and
     // clean, only [40, 44) is owed to the backend.
-    d.put_range(1, id, 40, &[1, 2, 3, 4]).unwrap();
+    patch(&d, 1, id, &[(40, 44)], 5).unwrap();
     assert_eq!(d.meta_of(id).unwrap().size, 44);
     assert_eq!(d.dirty_ranges(id).unwrap().ranges(), &[(40, 44)]);
     let (bytes, _) = d.get(1_000_000, id).unwrap();
     assert!(bytes[16..40].iter().all(|&b| b == 0));
     // A second patch inside the old extent is its own range.
-    d.put_range(2, id, 4, &[9; 4]).unwrap();
+    patch(&d, 2, id, &[(4, 8)], 9).unwrap();
     assert_eq!(d.dirty_ranges(id).unwrap().ranges(), &[(4, 8), (40, 44)]);
 }
 
@@ -194,7 +218,7 @@ fn tier_moves_leave_the_index_alone() {
     let d = dmsh();
     let cold = BlobId::new(0, 0);
     d.put(0, cold, Bytes::from(vec![1u8; 128]), 0.1, 0, false).unwrap();
-    d.put_range(1, cold, 8, &[2; 8]).unwrap();
+    patch(&d, 1, cold, &[(8, 16)], 2).unwrap();
     d.put(2, BlobId::new(0, 1), Bytes::from(vec![3u8; 128]), 0.2, 0, false).unwrap();
     // A hot put into the full DRAM tier demotes `cold`.
     d.put(3, BlobId::new(0, 2), Bytes::from(vec![4u8; 128]), 0.9, 0, true).unwrap();

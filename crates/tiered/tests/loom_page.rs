@@ -6,12 +6,12 @@
 //! cargo test -p megammap-tiered --features loom-model --test loom_page
 //! ```
 //!
-//! MegaMmap commits page diffs with [`Dmsh::put_range`]; the runtime
+//! MegaMmap commits page diffs with [`Dmsh::put_ranges`]; the runtime
 //! serializes install-or-patch per page (the apply-shard locks) and the
-//! DMSH serializes the actual byte merge under its meta/store locks. This
+//! DMSH serializes the actual byte merge under its one lock. This
 //! check explores every interleaving of two writers patching disjoint
 //! ranges of one blob and asserts both patches always survive — the
-//! copy-on-write steal inside `put_range` must never let one writer's
+//! copy-on-write steal inside `put_ranges` must never let one writer's
 //! merge clobber the other's.
 #![cfg(feature = "loom-model")]
 
@@ -21,6 +21,9 @@ use bytes::Bytes;
 use megammap_sim::DeviceSpec;
 use megammap_tiered::{BlobId, Dmsh};
 
+mod common;
+use common::patch;
+
 #[test]
 fn disjoint_patches_to_one_page_both_survive() {
     loom::model(|| {
@@ -29,11 +32,11 @@ fn disjoint_patches_to_one_page_both_survive() {
         d.put(0, id, Bytes::from(vec![0u8; 64]), 1.0, 0, false).unwrap();
         let d1 = Arc::clone(&d);
         let t1 = loom::thread::spawn(move || {
-            d1.put_range(0, id, 0, &[0xAA; 16]).unwrap();
+            patch(&d1, 0, id, &[(0, 16)], 0xAA).unwrap();
         });
         let d2 = Arc::clone(&d);
         let t2 = loom::thread::spawn(move || {
-            d2.put_range(0, id, 32, &[0xBB; 16]).unwrap();
+            patch(&d2, 0, id, &[(32, 48)], 0xBB).unwrap();
         });
         t1.join().unwrap();
         t2.join().unwrap();
@@ -52,11 +55,11 @@ fn overlapping_patches_leave_one_writers_bytes() {
         d.put(0, id, Bytes::from(vec![0u8; 32]), 1.0, 0, false).unwrap();
         let d1 = Arc::clone(&d);
         let t1 = loom::thread::spawn(move || {
-            d1.put_range(0, id, 8, &[1u8; 8]).unwrap();
+            patch(&d1, 0, id, &[(8, 16)], 1).unwrap();
         });
         let d2 = Arc::clone(&d);
         let t2 = loom::thread::spawn(move || {
-            d2.put_range(0, id, 8, &[2u8; 8]).unwrap();
+            patch(&d2, 0, id, &[(8, 16)], 2).unwrap();
         });
         t1.join().unwrap();
         t2.join().unwrap();
