@@ -47,13 +47,25 @@ git diff --exit-code -- results/lock_graph.json results/lock_graph.dot \
 echo "==> cargo test"
 cargo test -q --workspace "${PROFILE[@]}"
 
-echo "==> stage-out oracles (dirty index vs model; counting backend: no sync per pass)"
-# Both also run in the workspace pass above; naming them here keeps a
-# rename or a filtered-out test from silently dropping the two checks the
-# incremental stage-out rests on.
-cargo test -q -p megammap-tiered "${PROFILE[@]}" --test dirty_index dirty_index_matches_model
-cargo test -q -p megammap "${PROFILE[@]}" --lib stager::tests::background_pass_writes_only_dirty_bytes_and_never_syncs
-cargo test -q -p megammap "${PROFILE[@]}" --lib stager::tests::journaled_vector_syncs_before_every_truncate
+echo "==> stage-out oracles (dirty index vs model; counting backend: no sync per pass; write-behind vs oracle)"
+# All also run in the workspace pass above; naming them here keeps a
+# rename or a filtered-out test from silently dropping the checks the
+# incremental stage-out and the file backend's write-behind buffer rest on.
+# `named_test <cargo test args> <exact test name>` fails unless exactly that
+# one test ran and passed.
+named_test() {
+    local name=${!#} out
+    out=$(cargo test -q "${PROFILE[@]}" "${@:1:$#-1}" "$name" -- --exact 2>&1) \
+        || { echo "$out" >&2; return 1; }
+    grep -q "test result: ok. 1 passed" <<<"$out" \
+        || { echo "$out" >&2; echo "named test $name did not run" >&2; return 1; }
+}
+named_test -p megammap-tiered --test dirty_index dirty_index_matches_model
+named_test -p megammap --lib runtime::stager::tests::background_pass_writes_only_dirty_bytes_and_never_syncs
+named_test -p megammap --lib runtime::stager::tests::journaled_vector_syncs_before_every_truncate
+named_test -p megammap-formats --test proptest_objects posix_write_behind_matches_mem_object
+named_test -p mega-mmap --test dsm_integration file_vector_random_updates_reach_the_file
+named_test -p mega-mmap --test dsm_integration background_staged_bytes_survive_a_runtime_dropped_without_flush
 
 echo "==> loom model checks (resource / dlock / page merge)"
 cargo test -q -p megammap-sim --features loom-model "${PROFILE[@]}" --test loom_resource

@@ -19,7 +19,8 @@
 //! (the scache fault over a working set 16x the hot-page sketch) and
 //! `telemetry.sketch_record_thrash_ns` (the sketch's eviction path alone).
 //! `stager.stage_out_pass_ns` (one background stage-out pass over 256
-//! pages of a `file://` vector, each owing its backend 8 bytes) joined the
+//! pages of a `file://` vector, each owing its backend 8 bytes, plus the
+//! write-behind drain that lands them in the file) joined the
 //! same way, as did the `code_size` section (non-blank, non-comment,
 //! non-test lines per workspace crate — ROADMAP item 5's tracked number).
 //!
@@ -187,7 +188,8 @@ fn sketch_record_thrash_ns() -> f64 {
 }
 
 /// Wall-clock ns of one background stage-out pass over a `file://` vector
-/// of 256 resident pages, each with one 8-byte dirty range: the active
+/// of 256 resident pages, each with one 8-byte dirty range, plus the drain
+/// of the file's write-behind buffer that lands those ranges: the active
 /// stager's per-pass cost when little is dirty (no sync — a background
 /// pass is not a durability point).
 fn stage_out_pass_ns() -> f64 {
@@ -213,6 +215,7 @@ fn stage_out_pass_ns() -> f64 {
         }
         tx.end().unwrap();
         v.flush_wait(p).unwrap();
+        let backend = v.meta().backend.clone().expect("a file:// vector has a backend");
         let mut batches = Vec::with_capacity(BATCHES);
         for batch in 0..BATCHES as u64 {
             // One element per page; the last page stays in the pcache.
@@ -225,6 +228,9 @@ fn stage_out_pass_ns() -> f64 {
             let staged = rt.stats().staged_out;
             let t = Instant::now();
             tx.end().unwrap();
+            // The pass only buffers its ranges; `len()` drains them into the
+            // file without a sync, so their writes stay inside the floor.
+            backend.len().unwrap();
             batches.push(t.elapsed().as_nanos() as f64);
             assert_eq!(rt.stats().staged_out - staged, PAGES * 8, "one pass, dirty bytes only");
         }
@@ -768,7 +774,7 @@ fn main() {
     println!("  fault from scache {fault_ns:.1} ns/iter ({NARROW_PAGES} pages)");
     println!("  fault from scache {wide_ns:.1} ns/iter ({WIDE_PAGES} pages, random order)");
     println!("  sketch record     {thrash_ns:.1} ns (thrashing, {WIDE_PAGES} keys)");
-    println!("  stage-out pass    {pass_ns:.0} ns (256 pages x 8 dirty bytes, file://)");
+    println!("  stage-out pass    {pass_ns:.0} ns (256 pages x 8 dirty bytes, file://, drained)");
     println!("  telemetry overhead {overhead_pct:+.2}% (budget 2%)");
     println!("  fault latency p50 {p50} p99 {p99} p999 {p999} ns over {faults} faults");
     println!(

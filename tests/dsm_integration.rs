@@ -171,6 +171,116 @@ fn obj_store_stager_round_trip_with_trim() {
     assert_eq!(obj.len().unwrap(), 777 * 2, "backend trimmed to logical length");
 }
 
+/// A fresh directory under the system temp dir for one test's files.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("mm-int-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn le_bytes(vals: &[u64]) -> Vec<u8> {
+    vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+}
+
+/// 64 pages of `u64` in a file.
+const FILE_ELEMS: u64 = 64 * 4096 / 8;
+
+/// Open (or attach to) the `file://` vector at `url`; a small pcache so
+/// random updates also commit through evictions.
+fn file_vector(rt: &Runtime, p: &Proc, url: &str) -> MmVec<u64> {
+    let v = MmVec::open(rt, p, url, VecOptions::new().pcache(4 * 4096).no_prefetch()).unwrap();
+    assert_eq!(v.len(), FILE_ELEMS, "length comes from the file");
+    v
+}
+
+#[test]
+fn file_vector_random_updates_reach_the_file() {
+    // Seeded 8-byte read-modify-writes over several stage intervals: the
+    // background passes stage them as scattered sub-page ranges, and after
+    // `flush_wait` the file holds exactly what a plain Vec holds.
+    let dir = scratch_dir("rmw");
+    let path = dir.join("rmw.bin");
+    let mut oracle: Vec<u64> = (0..FILE_ELEMS).map(|i| i * 3).collect();
+    std::fs::write(&path, le_bytes(&oracle)).unwrap();
+    let url = format!("file://{}", path.display());
+
+    let (cluster, rt) = fixture(1, 1);
+    let interval = rt.cfg().stage_interval_ns;
+    let (staged_before_flush, _) = cluster.run_once(|p| {
+        let v = file_vector(&rt, p, &url);
+        let mut x = 0x5EED_u64;
+        for round in 0..6 {
+            let tx = v.tx(p, TxKind::rand(round, 0, FILE_ELEMS), Access::ReadWriteGlobal).unwrap();
+            for _ in 0..150 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let i = (x >> 33) % FILE_ELEMS;
+                let old = v.load(p, tx.handle(), i);
+                assert_eq!(old, oracle[i as usize], "element {i} in round {round}");
+                oracle[i as usize] = old.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i);
+                v.store(p, tx.handle(), i, oracle[i as usize]);
+            }
+            tx.end().unwrap();
+            p.advance(interval + 1);
+        }
+        let staged = rt.stats().staged_out;
+        v.flush_wait(p).unwrap();
+        staged
+    });
+    assert!(staged_before_flush > 0, "background passes staged ranges before the flush");
+    assert!(std::fs::read(&path).unwrap() == le_bytes(&oracle), "file bytes equal the oracle");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn background_staged_bytes_survive_a_runtime_dropped_without_flush() {
+    // A background pass makes its ranges visible, not durable. A runtime
+    // dropped without any flush must still leave them in the file for the
+    // next runtime over the same path.
+    let dir = scratch_dir("bgdrop");
+    let path = dir.join("bg.bin");
+    let mut want: Vec<u64> = (0..FILE_ELEMS).map(|i| !i).collect();
+    std::fs::write(&path, le_bytes(&want)).unwrap();
+    let url = format!("file://{}", path.display());
+
+    {
+        let (cluster, rt) = fixture(1, 1);
+        let interval = rt.cfg().stage_interval_ns;
+        cluster.run_once(|p| {
+            let v = file_vector(&rt, p, &url);
+            let update = |elems: &[u64]| {
+                let tx = v.tx(p, TxKind::seq(0, FILE_ELEMS), Access::ReadWriteGlobal).unwrap();
+                for &i in elems {
+                    v.store(p, tx.handle(), i, i * 1000 + 1);
+                }
+                tx.end().unwrap();
+            };
+            // One element on every fourth page, then the interval elapses
+            // and the next commit runs a background pass over all of them.
+            let first: Vec<u64> = (0..FILE_ELEMS).step_by(4 * 512 + 8).collect();
+            update(&first);
+            let staged = rt.stats().staged_out;
+            p.advance(interval + 1);
+            update(&[FILE_ELEMS - 1]);
+            assert_eq!(rt.stats().staged_out - staged, 8 * (first.len() as u64 + 1));
+            for &i in first.iter().chain([FILE_ELEMS - 1].iter()) {
+                want[i as usize] = i * 1000 + 1;
+            }
+        });
+        // No flush_wait, no shutdown: the runtime just goes away.
+    }
+
+    let (cluster, rt) = fixture(1, 1);
+    let (got, _) = cluster.run_once(|p| {
+        let v = file_vector(&rt, p, &url);
+        let mut got = vec![0u64; FILE_ELEMS as usize];
+        v.read_into(p, 0, &mut got).unwrap();
+        got
+    });
+    assert!(got == want, "every byte a background pass staged is visible after the drop");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn many_vectors_coexist() {
     let (cluster, rt) = fixture(2, 2);
